@@ -43,10 +43,65 @@ def batch_spectral_norms(mats: np.ndarray, settings: PowerIterSettings = PowerIt
     return np.array([spectral_norm_dense(m, settings) for m in mats])
 
 
-def _sample_norms(net, x: np.ndarray, chunk: int) -> Iterator[np.ndarray]:
+def _softmax(out: np.ndarray) -> np.ndarray:
+    shifted = out - out.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_jacobian(p: np.ndarray) -> np.ndarray:
+    """diag(p) − p pᵀ for each row of class probabilities."""
+    p = np.atleast_2d(p)
+    eye = np.eye(p.shape[1])
+    return eye[None, :, :] * p[:, :, None] - p[:, :, None] * p[:, None, :]
+
+
+def _softmax_cotangents(out: np.ndarray) -> np.ndarray:
+    return softmax_jacobian(_softmax(out))
+
+
+def _row_batches(x: np.ndarray, batch: int) -> Iterator[np.ndarray]:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    for lo in range(0, x.shape[0], chunk):
-        yield batch_spectral_norms(net.input_jacobians(x[lo:lo + chunk]))
+    for lo in range(0, x.shape[0], batch):
+        yield x[lo:lo + batch]
+
+
+def _norm_stream(net, batches, softmax: bool = False) -> Iterator[np.ndarray]:
+    """Per-sample Jacobian spectral norms, one array per batch.
+
+    With ``softmax`` the Jacobians are those of softmax ∘ net: the softmax
+    Jacobian rows seed the net's reverse sweep.
+    """
+    cotangents = _softmax_cotangents if softmax else None
+    for x in batches:
+        yield batch_spectral_norms(net.input_jacobians(x, cotangents))
+
+
+def _sup(norm_batches: Iterator[np.ndarray]) -> float:
+    return max((float(norms.max()) for norms in norm_batches), default=0.0)
+
+
+def _sup_mean(norm_batches: Iterator[np.ndarray]):
+    """``(sup, mean, argmax_index)`` over a stream of norm batches, in stream order."""
+    best = -1.0
+    best_idx = 0
+    total = 0.0
+    seen = 0
+    for norms in norm_batches:
+        i = int(np.argmax(norms))
+        if norms[i] > best:
+            best = float(norms[i])
+            best_idx = seen + i
+        total += float(norms.sum())
+        seen += len(norms)
+    if seen == 0:
+        raise ValueError("Lipschitz estimates need at least one sample")
+    return best, total / seen, best_idx
+
+
+def _check_softmax(net) -> None:
+    if net.output_dim < 2:
+        raise ValueError("softmax composition needs at least 2 outputs")
 
 
 def lower_bound(net, samples: np.ndarray, chunk: int = 256):
@@ -56,21 +111,7 @@ def lower_bound(net, samples: np.ndarray, chunk: int = 256):
     sample attaining the sup.  Streams in chunks with a fixed reduction
     order, so results are deterministic and memory stays flat.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    if samples.shape[0] == 0:
-        raise ValueError("lower_bound needs at least one sample")
-    best = -1.0
-    best_idx = 0
-    total = 0.0
-    seen = 0
-    for norms in _sample_norms(net, samples, chunk):
-        i = int(np.argmax(norms))
-        if norms[i] > best:
-            best = float(norms[i])
-            best_idx = seen + i
-        total += float(norms.sum())
-        seen += len(norms)
-    return best, total / seen, best_idx
+    return _sup_mean(_norm_stream(net, _row_batches(samples, chunk)))
 
 
 def upper_bound(net, settings: PowerIterSettings = PowerIterSettings()) -> float:
@@ -88,6 +129,10 @@ class ProbeSet:
     ``pair_count`` pairs are drawn per λ per source set, uniformly with
     replacement, from the stated seed.  Points are generated lazily in a
     fixed order so CIFAR-sized probes never have to be materialized.
+    The train points come first, in ``batch``-row slices of ``train_x``;
+    ``beyond_train`` yields the rest, so a caller that has already scanned
+    the train set in the same slices (as :func:`build_report` does) can
+    skip it.
     """
 
     train_x: np.ndarray
@@ -106,10 +151,13 @@ class ProbeSet:
         return len(self.train_x) + len(self.test_x) + 2 * len(self.lambdas) * self.pair_count
 
     def batches(self, batch: int = 512) -> Iterator[np.ndarray]:
-        for base in (self.train_x, self.test_x):
-            base = np.atleast_2d(np.asarray(base, dtype=np.float64))
-            for lo in range(0, base.shape[0], batch):
-                yield base[lo:lo + batch]
+        """All probe points in their fixed order: train, test, then pairs."""
+        yield from _row_batches(self.train_x, batch)
+        yield from self.beyond_train(batch)
+
+    def beyond_train(self, batch: int = 512) -> Iterator[np.ndarray]:
+        """The probe points after the train set: test, then pairs."""
+        yield from _row_batches(self.test_x, batch)
         for src_idx, source in enumerate((self.train_x, self.test_x)):
             source = np.atleast_2d(np.asarray(source, dtype=np.float64))
             n = source.shape[0]
@@ -132,24 +180,7 @@ class ProbeSet:
 
 def probe_bound(net, probe: ProbeSet, chunk: int = 256) -> float:
     """Sup-Jacobian norm over the probe set (a superset of the train sup)."""
-    best = 0.0
-    for batch in probe.batches(chunk):
-        c, _, _ = lower_bound(net, batch, chunk)
-        best = max(best, c)
-    return best
-
-
-def _softmax(out: np.ndarray) -> np.ndarray:
-    shifted = out - out.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def softmax_jacobian(p: np.ndarray) -> np.ndarray:
-    """diag(p) − p pᵀ for each row of class probabilities."""
-    p = np.atleast_2d(p)
-    eye = np.eye(p.shape[1])
-    return eye[None, :, :] * p[:, :, None] - p[:, :, None] * p[:, None, :]
+    return _sup(_norm_stream(net, probe.batches(chunk)))
 
 
 def softmax_composed_lower_bound(net, samples: np.ndarray, chunk: int = 256) -> float:
@@ -158,18 +189,8 @@ def softmax_composed_lower_bound(net, samples: np.ndarray, chunk: int = 256) -> 
     This is the lower estimate for the classifier with a softmax layer on
     top; since softmax contracts, it never exceeds the plain estimate.
     """
-    if net.output_dim < 2:
-        raise ValueError("softmax composition needs at least 2 outputs")
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    best = 0.0
-    for lo in range(0, samples.shape[0], chunk):
-        x = samples[lo:lo + chunk]
-        jac = net.input_jacobians(x)
-        p = _softmax(net.forward(x))
-        composed = softmax_jacobian(p) @ jac
-        norms = batch_spectral_norms(composed)
-        best = max(best, float(norms.max()))
-    return best
+    _check_softmax(net)
+    return _sup(_norm_stream(net, _row_batches(samples, chunk), softmax=True))
 
 
 @dataclass
@@ -214,30 +235,20 @@ def build_report(net, samples: np.ndarray, snapshot: dict,
     With ``softmax_composed`` the lower and probe estimates describe
     softmax ∘ net; the upper estimate is unchanged because softmax is
     1-Lipschitz, so the ordering invariant still holds.
+
+    Each sample's Jacobian is built once: one pass over ``samples`` gives
+    both ``c_lower`` and ``c_avg_norm``.  When the probe's train part
+    equals ``samples``, its norms are the ones that pass already took (the
+    chunks match), so only the rest of the probe set is scanned and
+    ``c_probe`` is the same as ``max(probe_bound(...), c_lower)``.
     """
     if softmax_composed:
-        c_lower = softmax_composed_lower_bound(net, samples, chunk)
-        total = 0.0
-        seen = 0
-        x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-        for lo in range(0, x.shape[0], chunk):
-            b = x[lo:lo + chunk]
-            composed = softmax_jacobian(_softmax(net.forward(b))) @ net.input_jacobians(b)
-            norms = batch_spectral_norms(composed)
-            total += float(norms.sum())
-            seen += len(norms)
-        c_avg = total / seen
-    else:
-        c_lower, c_avg, _ = lower_bound(net, samples, chunk)
+        _check_softmax(net)
+    c_lower, c_avg, _ = _sup_mean(_norm_stream(net, _row_batches(samples, chunk), softmax_composed))
     c_probe = None
     if probe is not None:
-        if softmax_composed:
-            best = 0.0
-            for batch in probe.batches(chunk):
-                composed = softmax_jacobian(_softmax(net.forward(batch))) @ net.input_jacobians(batch)
-                best = max(best, float(batch_spectral_norms(composed).max()))
-            c_probe = max(best, c_lower)
-        else:
-            c_probe = max(probe_bound(net, probe, chunk), c_lower)
+        same = np.array_equal(samples, probe.train_x)
+        batches = probe.beyond_train(chunk) if same else probe.batches(chunk)
+        c_probe = max(c_lower, _sup(_norm_stream(net, batches, softmax_composed)))
     return LipschitzReport(c_lower=c_lower, c_avg_norm=c_avg, c_upper=upper_bound(net, settings),
                            c_probe=c_probe, softmax_composed=softmax_composed, snapshot=snapshot)

@@ -12,7 +12,7 @@ import base64
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,8 +111,17 @@ class FFReluNet:
             g = g @ self.weights[i]
         return g
 
-    def input_jacobians(self, x: np.ndarray) -> np.ndarray:
+    def input_jacobians(self, x: np.ndarray,
+                        cotangents: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
         """Per-sample Jacobians d(output)/d(input), shape ``(n, out, in)``.
+
+        Reverse mode: one forward pass records the ReLU masks, then the
+        output rows of all ``n`` samples are swept back together, one
+        ``(n·out, width) @ W`` product per layer.  ``cotangents``, when
+        given, maps the ``(n, out)`` outputs to ``(n, m, out)`` seed rows
+        and the result is their product with the Jacobian, ``(n, m, in)``;
+        this composes an output map such as softmax without a separate
+        per-sample matrix product.
 
         ReLU units exactly at zero count as inactive, so the Jacobian at
         the origin is the zero matrix.
@@ -123,11 +132,17 @@ class FFReluNet:
             z = a @ w.T
             masks.append(z > 0)
             a = _relu(z)
-        jac = masks[0][:, :, None] * self.weights[0][None, :, :]
-        for w, m in zip(self.weights[1:], masks[1:]):
-            jac = np.matmul(w[None, :, :], jac)
-            jac *= m[:, :, None]
-        return jac
+        n = a.shape[0]
+        last = self.weights[-1]
+        if cotangents is None:
+            g = masks[-1][:, :, None] * last[None, :, :]
+        else:
+            seeds = cotangents(a) * masks[-1][:, None, :]
+            g = (seeds.reshape(-1, last.shape[0]) @ last).reshape(n, -1, last.shape[1])
+        for w, m in zip(self.weights[-2::-1], masks[-2::-1]):
+            g *= m[:, None, :]
+            g = (g.reshape(-1, w.shape[0]) @ w).reshape(n, -1, w.shape[1])
+        return g
 
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -199,12 +214,18 @@ def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def conv2d_adjoint(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Exact transpose of :func:`conv2d` as a linear map in ``x``."""
+    """Exact transpose of :func:`conv2d` as a linear map in ``x``.
+
+    ``g`` is copied to one channel-last row-major matrix first, so every
+    batch size reaches BLAS with the same layout and a sample's result
+    does not depend on the batch it sits in.
+    """
     n, c_out, h, w = g.shape
+    rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * h * w, c_out)
     dxp = np.zeros((n, kernel.shape[1], h + 2, w + 2))
     for di in range(3):
         for dj in range(3):
-            contrib = np.tensordot(g, kernel[:, :, di, dj], axes=([1], [0]))
+            contrib = (rows @ kernel[:, :, di, dj]).reshape(n, h, w, -1)
             dxp[:, :, di:di + h, dj:dj + w] += contrib.transpose(0, 3, 1, 2)
     return dxp[:, :, 1:-1, 1:-1]
 
@@ -369,18 +390,32 @@ class CnnNet:
         return g.reshape(g.shape[0], -1)
 
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Jacobian (10, 3072) at one sample: 10 cotangent backprops at fixed masks."""
-        x = np.asarray(x, dtype=np.float64)
+        """Jacobian (10, 3072) at one sample."""
         imgs = self._as_images(x)
         if imgs.shape[0] != 1:
             raise ValueError("input_jacobian takes a single sample")
-        batch = np.repeat(imgs, self.output_dim, axis=0)
-        _, cache = self.forward_cached(batch)
-        return self.backprop_input(cache, np.eye(self.output_dim))
+        return self.input_jacobians(imgs)[0]
 
-    def input_jacobians(self, x: np.ndarray) -> np.ndarray:
+    def input_jacobians(self, x: np.ndarray,
+                        cotangents: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+        """Per-sample Jacobians, shape ``(n, 10, 3072)``.
+
+        One forward pass over the batch fixes the ReLU masks and pooling
+        routes, then one backward sweep per output row carries that row's
+        cotangent for every sample at once.  ``cotangents`` works as in
+        :meth:`FFReluNet.input_jacobians`.
+        """
         imgs = self._as_images(x)
-        return np.stack([self.input_jacobian(img) for img in imgs])
+        out, cache = self.forward_cached(imgs)
+        n = imgs.shape[0]
+        if cotangents is None:
+            seeds = np.broadcast_to(np.eye(self.output_dim), (n, self.output_dim, self.output_dim))
+        else:
+            seeds = cotangents(out)
+        jac = np.empty((n, seeds.shape[1], self.input_dim))
+        for k in range(seeds.shape[1]):
+            jac[:, k, :] = self.backprop_input(cache, seeds[:, k, :])
+        return jac
 
     def layer_spectral_norms(self, settings: PowerIterSettings = PowerIterSettings()) -> list[float]:
         """Operator norms of the 4 convs (at their true spatial sizes) + the head."""

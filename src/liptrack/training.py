@@ -77,7 +77,7 @@ def loss_and_grad(net, x: np.ndarray, labels: np.ndarray, kind: str):
     return value / n, grads
 
 
-def param_grad(net, x: np.ndarray, labels: np.ndarray, kind: str, chunk: int = 2048):
+def param_grad(net, x: np.ndarray, labels: np.ndarray, kind: str, chunk: int = 256):
     """Mean loss over a (possibly large) sample set and its flat θ-gradient.
 
     Evaluated in chunks so the full training set fits; the result is the
@@ -98,7 +98,7 @@ def param_grad(net, x: np.ndarray, labels: np.ndarray, kind: str, chunk: int = 2
     return total / n, acc / n
 
 
-def dataset_loss(net, x: np.ndarray, labels: np.ndarray, kind: str, chunk: int = 2048) -> float:
+def dataset_loss(net, x: np.ndarray, labels: np.ndarray, kind: str, chunk: int = 256) -> float:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     total = 0.0
     for lo in range(0, x.shape[0], chunk):

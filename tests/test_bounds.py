@@ -292,6 +292,43 @@ def test_build_report_softmax_with_probe_keeps_ordering():
     assert report.c_avg_norm <= report.c_lower <= report.c_probe <= report.c_upper
 
 
+def softmax_norms(net, x):
+    """Test-local softmax composition: J_softmax(f(x)) @ J_f(x), then norms."""
+    composed = softmax_jacobian(softmax(net.forward(x))) @ net.input_jacobians(x)
+    return batch_spectral_norms(composed)
+
+
+@pytest.mark.parametrize("chunk", [256, 7])
+def test_build_report_equals_public_estimators(chunk):
+    # One pass over the train set gives c_lower and c_avg_norm, and the
+    # probe scan skips the train points; the values are those of the
+    # public estimators run separately.
+    net = init_ff(6, [9, 8], 4, seed=20)
+    rng = make_rng(20, 30)
+    tr = rng.standard_normal((25, 6))
+    te = rng.standard_normal((10, 6))
+    probe = ProbeSet(tr, te, pair_count=12, seed=2)
+
+    plain = build_report(net, tr, {}, TIGHT, probe=probe, chunk=chunk)
+    c_lower, c_avg, _ = lower_bound(net, tr, chunk)
+    assert (plain.c_lower, plain.c_avg_norm) == (c_lower, c_avg)
+    assert plain.c_probe == max(probe_bound(net, probe, chunk), c_lower)
+
+    comp = build_report(net, tr, {}, TIGHT, probe=probe, softmax_composed=True, chunk=chunk)
+    assert comp.c_lower == softmax_composed_lower_bound(net, tr, chunk)
+    assert comp.c_avg_norm == pytest.approx(softmax_norms(net, tr).mean(), rel=1e-12)
+    probe_sup = max(softmax_composed_lower_bound(net, b, chunk) for b in probe.batches(chunk))
+    assert comp.c_probe == max(probe_sup, comp.c_lower)
+    want = max(softmax_norms(net, b).max() for b in probe.batches(chunk))
+    assert comp.c_probe == pytest.approx(want, rel=1e-12)
+
+    # A probe whose train part is not the report's sample set is scanned
+    # whole: here the sup sits on those train points.
+    bases = ProbeSet(tr, te, pair_count=0, seed=2)
+    other = build_report(net, te, {}, TIGHT, probe=bases, chunk=chunk)
+    assert other.c_probe == c_lower > other.c_lower
+
+
 def test_probe_fidelity_zero_gap():
     report = LipschitzReport(c_lower=2.0, c_avg_norm=1.5, c_upper=2.0,
                              c_probe=2.0, softmax_composed=False, snapshot={})

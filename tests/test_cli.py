@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +222,30 @@ def test_bounds_runtime_failure_exits_two(tmp_path, capsys):
     ckpt = next(out.glob("run-*/checkpoint.json"))
     assert run_main(["bounds", "--checkpoint", ckpt, "--data", "synthetic"]) == 2
     assert "run failed" in capsys.readouterr().err
+
+
+def test_bounds_stdout_identical_across_blas_thread_counts(tmp_path):
+    # Wide enough that the Jacobian GEMMs are large enough for OpenBLAS to
+    # split them across threads.
+    cfg_path, cfg = write_cfg(tmp_path, width=256, max_epochs=1)
+    out = tmp_path / "runs"
+    assert run_main(["train", "--config", cfg_path, "--out", out]) == 0
+    ckpt = out / f"run-{cfg.config_hash()}" / "checkpoint.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for extra in ([], ["--softmax"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "liptrack.cli", "bounds", "--checkpoint", str(ckpt),
+                 "--data", "synthetic", "--probe", "--pairs-per-lambda", "300", *extra],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads, tuple(extra)] = proc.stdout
+    for extra in ((), ("--softmax",)):
+        assert json.loads(outputs["1", extra])["c_probe"] is not None
+        assert outputs["1", extra] == outputs["2", extra]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from liptrack.bounds import batch_spectral_norms, lower_bound
 from liptrack.datasets import DataPair, Dataset, synthetic_fallback
 from liptrack.ensembles import (
     BIASVAR_CSV_COLUMNS,
@@ -132,6 +133,22 @@ def test_ensemble_lipschitz_lower_jensen_inequality():
     assert c_bar <= c_bar_zeta + 1e-12
     with pytest.raises(ValueError, match="at least one sample"):
         ensemble_lipschitz_lower(e, np.zeros((0, 8)))
+
+
+def test_ensemble_lipschitz_lower_matches_separate_passes():
+    # One Jacobian pass per member and chunk feeds both estimates; the
+    # values equal the mean-Jacobian sup and the mean of each member's own
+    # lower_bound over the same chunks, bit for bit.
+    e = random_ensemble(n_members=3, d=8, width=12, k=4, base_seed=21)
+    x = make_rng(3, 40).standard_normal((23, 8))
+    for chunk in (256, 5):
+        best = 0.0
+        for lo in range(0, len(x), chunk):
+            xb = x[lo:lo + chunk]
+            mean_jac = sum(m.input_jacobians(xb) for m in e.members) / e.size
+            best = max(best, float(batch_spectral_norms(mean_jac).max()))
+        per_seed = [lower_bound(m, x, chunk)[0] for m in e.members]
+        assert ensemble_lipschitz_lower(e, x, chunk) == (best, float(np.mean(per_seed)))
 
 
 def test_variance_at_and_mean_sq_dist_oracles():

@@ -118,6 +118,52 @@ def test_ff_batched_jacobians_match_single_sample():
     np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=0)
 
 
+def forward_mode_jacobians(net, xs):
+    """Per-sample masked products, built input side first, as the reference."""
+    a = xs
+    masks = []
+    for w in net.weights:
+        z = a @ w.T
+        masks.append(z > 0)
+        a = np.maximum(z, 0.0)
+    jac = masks[0][:, :, None] * net.weights[0][None, :, :]
+    for w, m in zip(net.weights[1:], masks[1:]):
+        jac = np.matmul(w[None, :, :], jac) * m[:, :, None]
+    return jac
+
+
+def test_ff_reverse_jacobians_match_forward_mode_product():
+    net = init_ff(7, [9, 8, 6], 4, seed=31)
+    # Output 0 sees only nonnegative inputs through negative weights, so its
+    # mask is zero on every sample; the origin zeroes every mask at once.
+    net.weights[-1][0] = -np.abs(net.weights[-1][0])
+    xs = make_rng(31, 3).standard_normal((17, 7))
+    xs[4] = 0.0
+    got = net.input_jacobians(xs)
+    want = forward_mode_jacobians(net, xs)
+    assert got.shape == (17, 4, 7)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(got[:, 0, :], np.zeros((17, 7)))
+    assert np.array_equal(got[4], np.zeros((4, 7)))
+    assert np.any(got[:, 1:, :] != 0.0)
+
+
+def test_ff_jacobians_seeded_by_cotangents():
+    net = init_ff(6, [9, 8], 3, seed=32)
+    xs = make_rng(32, 3).standard_normal((5, 6))
+    seeds = make_rng(33, 3).standard_normal((5, 2, 3))
+    outs = []
+
+    def cotangents(out):
+        outs.append(out)
+        return seeds
+
+    got = net.input_jacobians(xs, cotangents)
+    assert np.array_equal(outs[0], net.forward(xs))
+    np.testing.assert_allclose(got, seeds @ forward_mode_jacobians(net, xs),
+                               rtol=1e-12, atol=1e-14)
+
+
 def test_ff_input_jacobian_rejects_batches():
     net = init_ff(6, [8], 3, seed=0)
     with pytest.raises(ValueError, match="single sample"):
@@ -386,6 +432,23 @@ def test_cnn_batched_jacobians_stack_singles():
     assert batch.shape == (3, 10, 3072)
     for i in range(3):
         assert np.array_equal(batch[i], net.input_jacobian(xs[i]))
+
+
+def test_cnn_batched_jacobians_match_per_image_backprop():
+    # Reference: each image repeated once per output row and swept back
+    # with the identity cotangent, one image at a time.
+    net = init_cnn(2, seed=11)
+    xs = make_rng(8, 13).standard_normal((3, 3072))
+    got = net.input_jacobians(xs)
+    for i in range(3):
+        batch = np.repeat(xs[i].reshape(1, 3, 32, 32), 10, axis=0)
+        _, cache = net.forward_cached(batch)
+        want = net.backprop_input(cache, np.eye(10))
+        np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(got[i], net.input_jacobian(xs[i]))
+    seeds = make_rng(9, 13).standard_normal((3, 4, 10))
+    np.testing.assert_allclose(net.input_jacobians(xs, lambda out: seeds), seeds @ got,
+                               rtol=1e-11, atol=1e-13)
 
 
 def test_cnn_backprop_params_matches_finite_differences():
