@@ -10,7 +10,8 @@ double descent in both test loss and the Lipschitz estimates.
 __version__ = "0.1.0"
 
 from .linalg import (ORACLE_DIM_CAP, PowerIterSettings, make_rng, materialize_operator,
-                     spectral_norm_dense, spectral_norm_operator, svd_oracle)
+                     spectral_norm_dense, spectral_norm_operator, svd_oracle,
+                     vector_norm)
 from .models import (CnnNet, FFReluNet, conv2d, conv2d_adjoint, conv_spectral_norm,
                      init_cnn, init_ff, load_checkpoint, param_distance, save_checkpoint)
 from .training import (Adam, DivergenceError, EpochRecord, LrSchedule, Sgd, StopRule,
@@ -20,13 +21,12 @@ from .datasets import (DataPair, Dataset, load_cifar10, load_mnist1d, read_cifar
                        replay_mutations, shuffle_labels, subsample, synthetic_fallback)
 from .bounds import (LipschitzReport, ProbeSet, batch_spectral_norms, build_report,
                      lower_bound, probe_bound, softmax_composed_lower_bound, upper_bound)
-from .ensembles import (BiasVarReport, BoundConstants, SeedEnsemble, build_biasvar_report,
-                        decompose, ensemble_lipschitz_lower, lower_estimates, sweep_biasvar,
-                        upper_estimates, variance_bound, write_biasvar_csv)
-from .harness import (ExperimentConfig, apply_overrides, apply_profile, build_data,
+from .ensembles import (BoundConstants, SeedEnsemble, build_biasvar_report, decompose,
+                        ensemble_lipschitz_lower, lower_estimates, sweep_biasvar,
+                        train_ensemble, upper_estimates, variance_bound, write_biasvar_csv)
+from .harness import (ExperimentConfig, apply_overrides, apply_profile, build_data, cell_net,
                       cnn_param_count, emit_plot_data, ff_param_count,
-                      interpolation_threshold, load_config, run_depth_sweep,
-                      run_noise_sweep, run_samples_sweep, run_sweep, run_width_sweep,
-                      summarize, write_run_dir)
+                      interpolation_threshold, load_config, run_cell, run_sweep, summarize,
+                      train_cell, write_failures, write_run_dir)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

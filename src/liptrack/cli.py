@@ -19,9 +19,10 @@ from .bounds import ProbeSet, build_report
 from .datasets import load_cifar10, load_mnist1d, synthetic_fallback
 from .ensembles import sweep_biasvar, write_biasvar_csv
 from .harness import (ExperimentConfig, PLOT_KINDS, SWEEP_AXES, apply_overrides, apply_profile,
-                      build_data, emit_plot_data, load_config, run_sweep, write_run_dir)
-from .models import init_cnn, init_ff, load_checkpoint, save_checkpoint
-from .training import DivergenceError, default_stop, make_optimizer, train
+                      build_data, cell_net, emit_plot_data, read_records_jsonl, run_sweep,
+                      train_cell, write_failures, write_run_dir)
+from .models import load_checkpoint, save_checkpoint
+from .training import DivergenceError
 
 
 class ConfigError(Exception):
@@ -76,15 +77,6 @@ def _effective_config(args) -> ExperimentConfig:
         raise ConfigError(f"bad config value: {err}")
 
 
-def _start_run_dir(cfg: ExperimentConfig, out: str, extra: dict) -> Path:
-    run_dir = Path(out) / f"run-{cfg.config_hash()}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps({**extra, "config": cfg.to_dict()}, indent=2, sort_keys=True) + "\n")
-    (run_dir / "meta.json").write_text(json.dumps({"version": __version__, **extra}) + "\n")
-    return run_dir
-
-
 def _load_data_ref(ref: str, kind: str | None):
     """Resolve a --data reference: 'synthetic', a CSV file/dir, or a CIFAR dir."""
     if ref == "synthetic":
@@ -110,16 +102,12 @@ def _load_data_ref(ref: str, kind: str | None):
 
 def _cmd_train(args) -> int:
     cfg = _effective_config(args)
-    run_dir = _start_run_dir(cfg, args.out, {"subcommand": "train"})
+    run_dir = write_run_dir(cfg, args.out, {"subcommand": "train"})
     data = build_data(cfg)
     seed = cfg.seeds[0]
-    if cfg.family == "cnn":
-        net = init_cnn(cfg.width, seed)
-    else:
-        net = init_ff(data.train_x.shape[1], [cfg.width] * cfg.depth, data.num_classes, seed)
+    net = cell_net(cfg, data, seed)
     _log(f"training {cfg.family} width={cfg.width} seed={seed} -> {run_dir}")
-    trace = train(net, data, cfg.loss, make_optimizer(cfg.optimizer, cfg.base_lr),
-                  cfg.schedule, cfg.stop_rule(), cfg.batch_size, seed)
+    trace = train_cell(cfg, net, data, seed)
     trace.write_jsonl(run_dir / "trace.jsonl")
     save_checkpoint(net, run_dir / "checkpoint.json", seed, trace.final.epoch)
     _log(f"stopped after epoch {trace.final.epoch} ({trace.stop_reason}), "
@@ -131,10 +119,8 @@ def _cmd_sweep(args) -> int:
     cfg = _effective_config(args)
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; expected one of {SWEEP_AXES}")
-    run_dir = _start_run_dir(cfg, args.out, {"subcommand": "sweep", "axis": args.axis})
-    _log(f"sweep axis={args.axis} sizes -> {run_dir}")
-    records, summary, failures = run_sweep(cfg, args.axis)
-    write_run_dir(cfg, args.axis, records, summary, failures, args.out)
+    _log(f"sweep axis={args.axis} -> {args.out}")
+    records, summary, failures = run_sweep(cfg, args.axis, args.out)
     _log(f"wrote {len(records)} records, {len(summary)} summary rows, "
          f"{len(failures)} failures")
     return 0
@@ -159,24 +145,19 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_biasvar(args) -> int:
     cfg = _effective_config(args)
-    run_dir = _start_run_dir(cfg, args.out, {"subcommand": "biasvar"})
+    run_dir = write_run_dir(cfg, args.out, {"subcommand": "biasvar"})
     data = build_data(cfg)
     _log(f"bias-variance sweep over widths {cfg.widths} -> {run_dir}")
-    rows, failures = sweep_biasvar(
-        cfg.widths, data, cfg.seeds, kind=cfg.loss, optimizer_name=cfg.optimizer,
-        base_lr=cfg.base_lr, schedule=cfg.schedule, min_epochs=cfg.min_epochs,
-        max_epochs=cfg.max_epochs, batch_size=cfg.batch_size,
-        xprime_kind=args.xprime, settings=cfg.settings())
+    rows, failures = sweep_biasvar(cfg, data, args.xprime)
     write_biasvar_csv(rows, run_dir / "biasvar.csv")
-    if failures:
-        (run_dir / "failures.json").write_text(json.dumps(failures, indent=2) + "\n")
+    write_failures(failures, run_dir)
     _log(f"wrote {len(rows)} rows, {len(failures)} failures")
     return 0
 
 
 def _read_rows(path: Path):
     if path.suffix == ".jsonl":
-        return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+        return read_records_jsonl(path)
     with open(path, newline="") as fh:
         raw = list(csv.DictReader(fh))
     rows = []
@@ -267,10 +248,7 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except ConfigError as err:
-        _log(f"config error: {err}")
-        return 1
-    except FileNotFoundError as err:
+    except (ConfigError, FileNotFoundError) as err:
         _log(f"config error: {err}")
         return 1
     except DivergenceError as err:

@@ -3,22 +3,23 @@
 An ensemble is the same architecture trained from several seeds on one
 fixed dataset.  Averaging over seeds splits the expected test MSE into a
 bias term and a variance term, and the variance admits closed-form upper
-bounds driven by Lipschitz estimates of the members.
+bounds driven by Lipschitz estimates of the members.  Members are built
+and trained by the harness's cell driver, exactly as sweep cells are.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 # lower_bound is no longer called here but stays bound: perfbench's tracer
 # patches it by name in every module that imports it.
 from .bounds import batch_spectral_norms, lower_bound, upper_bound  # noqa: F401
+from .harness import ExperimentConfig, cell_net, train_cell
 from .linalg import PowerIterSettings
-from .training import DivergenceError, default_stop, make_optimizer, one_hot, train
+from .training import DivergenceError, one_hot
 
 BIASVAR_CSV_COLUMNS = ["width", "bias_sq", "variance", "test_loss", "r_sq",
                        "c_bar", "c_bar_zeta", "bound_v1_lower", "bound_v2_lower",
@@ -169,22 +170,6 @@ def variance_bound(e: SeedEnsemble, test_set, xprime: np.ndarray | None,
     return bound_v1, bound_v2
 
 
-@dataclass
-class BiasVarReport:
-    """Everything the variance study records for one trained ensemble."""
-
-    bias_sq: float
-    variance: float
-    expected_test_loss: float
-    r_sq: float
-    c_bar: float
-    c_bar_zeta: float
-    var_at_xprime: float
-    bound_v1: float
-    bound_v2: float
-    xprime_kind: str
-
-
 def build_biasvar_report(e: SeedEnsemble, test_set, xprime_kind: str = "zero",
                          settings: PowerIterSettings = PowerIterSettings(),
                          chunk: int = 256) -> dict:
@@ -216,43 +201,32 @@ def build_biasvar_report(e: SeedEnsemble, test_set, xprime_kind: str = "zero",
             "xprime_kind": xprime_kind}
 
 
-def train_ensemble(width: int, data, seeds, kind: str, optimizer_name: str,
-                   base_lr: float, schedule: str, min_epochs: int, max_epochs: int,
-                   batch_size: int) -> SeedEnsemble:
-    """Train one single-hidden-layer net per seed on a shared dataset."""
-    from .models import init_ff
-
+def train_ensemble(cfg: ExperimentConfig, data, width: int) -> SeedEnsemble:
+    """Train one width-``width`` net per config seed on a shared dataset."""
     members = []
-    for seed in seeds:
-        net = init_ff(data.train_x.shape[1], [width], data.num_classes, seed)
-        opt = make_optimizer(optimizer_name, base_lr)
-        train(net, data, kind, opt, schedule, default_stop(kind, min_epochs, max_epochs),
-              batch_size, seed)
+    for seed in cfg.seeds:
+        net = cell_net(cfg, data, seed, "width", width)
+        train_cell(cfg, net, data, seed)
         members.append(net)
-    return SeedEnsemble(members, list(seeds))
+    return SeedEnsemble(members, list(cfg.seeds))
 
 
-def sweep_biasvar(widths, data, seeds, *, kind: str = "mse", optimizer_name: str = "sgd",
-                  base_lr: float = 0.01, schedule: str = "constant",
-                  min_epochs: int = 0, max_epochs: int = 50, batch_size: int = 512,
-                  xprime_kind: str = "zero",
-                  settings: PowerIterSettings = PowerIterSettings()):
-    """Run the per-width variance study; returns (rows, failures).
+def sweep_biasvar(cfg: ExperimentConfig, data, xprime_kind: str = "zero"):
+    """Run the variance study over ``cfg.widths``; returns (rows, failures).
 
     A width whose training diverges is recorded in ``failures`` and the
     sweep moves on, so one bad configuration cannot sink a long run.
     """
     rows = []
     failures = []
-    for width in widths:
+    for width in cfg.widths:
         try:
-            e = train_ensemble(width, data, seeds, kind, optimizer_name, base_lr,
-                               schedule, min_epochs, max_epochs, batch_size)
+            e = train_ensemble(cfg, data, width)
         except DivergenceError as err:
             failures.append({"width": int(width), "error": str(err), "epoch": err.epoch})
             continue
         row = {"width": int(width)}
-        row.update(build_biasvar_report(e, data.test, xprime_kind, settings))
+        row.update(build_biasvar_report(e, data.test, xprime_kind, cfg.settings()))
         del row["var_at_xprime"]
         rows.append(row)
     return rows, failures

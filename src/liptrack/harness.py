@@ -1,10 +1,10 @@
-"""Experiment orchestration: sweeps over width, depth, sample count, and label noise.
+"""Experiment orchestration: configs, the cell driver, sweeps, and run dirs.
 
-A sweep trains a (size x seed) grid, evaluates the Lipschitz bounds at a
-fixed epoch cadence, and writes a run directory named by the config hash:
-the effective config, raw records as JSONL, and a seed-averaged summary
-CSV.  Everything is deterministic per (config, seeds), so re-running a
-config reproduces the files byte for byte.
+Every net of every experiment (a single run, a size x seed sweep over
+width, depth, sample count or label noise, a bias-variance seed
+ensemble) is built by ``cell_net`` and trained by ``train_cell``; every
+run dir is created by ``write_run_dir``.  Everything is deterministic per
+(config, seeds), so re-running a config reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -19,15 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .bounds import lower_bound, upper_bound
 from .datasets import (DataPair, load_cifar10, load_mnist1d, shuffle_labels, subsample,
                        synthetic_fallback)
-from .linalg import PowerIterSettings
+from .linalg import PowerIterSettings, vector_norm
 from .models import init_cnn, init_ff, param_distance
 from .training import (DivergenceError, LrSchedule, StopRule, STOP_THRESHOLDS, dataset_loss,
-                       make_optimizer, param_grad, train, updates_per_epoch)
+                       default_stop, make_optimizer, param_grad, train, updates_per_epoch)
 
-SWEEP_AXES = ("width", "depth", "samples", "noise")
+# Sweep axis -> the config list holding its sizes.
+AXIS_SIZES = {"width": "widths", "depth": "depths", "samples": "samples_list",
+              "noise": "noise_list"}
+SWEEP_AXES = tuple(AXIS_SIZES)
 
 SUMMARY_METRICS = ("train_loss", "test_loss", "c_lower", "c_avg_norm", "c_upper",
                    "param_dist", "grad_norm")
@@ -72,10 +76,9 @@ class ExperimentConfig:
     power_iter: dict = field(default_factory=lambda: {"max_iters": 1000, "rel_tol": 1e-9, "seed": 0})
 
     def stop_rule(self) -> StopRule:
-        thr = self.grad_norm_threshold
-        if thr is None:
-            thr = STOP_THRESHOLDS[self.loss]
-        return StopRule(thr, self.min_epochs, self.max_epochs)
+        if self.grad_norm_threshold is None:
+            return default_stop(self.loss, self.min_epochs, self.max_epochs)
+        return StopRule(self.grad_norm_threshold, self.min_epochs, self.max_epochs)
 
     def settings(self) -> PowerIterSettings:
         return PowerIterSettings(**self.power_iter)
@@ -101,8 +104,6 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: not valid JSON ({err})") from None
     return ExperimentConfig.from_dict(raw)
@@ -225,18 +226,6 @@ def build_data(cfg: ExperimentConfig) -> DataPair:
     return DataPair(train_d, test_d)
 
 
-def _axis_sizes(cfg: ExperimentConfig, axis: str) -> list:
-    if axis == "width":
-        return list(cfg.widths)
-    if axis == "depth":
-        return list(cfg.depths)
-    if axis == "samples":
-        return list(cfg.samples_list)
-    if axis == "noise":
-        return list(cfg.noise_list)
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-
-
 def _cell_config(cfg: ExperimentConfig, axis: str, size) -> ExperimentConfig:
     """Specialize the sweep config to one grid cell along the axis."""
     if axis in ("width", "depth"):
@@ -249,31 +238,37 @@ def _cell_config(cfg: ExperimentConfig, axis: str, size) -> ExperimentConfig:
     return replace(cfg, dataset=ds)
 
 
-def _cell_net(cfg: ExperimentConfig, axis: str, size, seed: int, input_dim: int, k: int):
+def cell_net(cfg: ExperimentConfig, data: DataPair, seed: int, axis: str = "width", size=None):
+    """The initialized net of one cell: ``size`` sets the width or depth along
+    ``axis``, otherwise the config's ``width`` x ``depth`` (CNNs take only a width)."""
+    width = int(size) if axis == "width" and size is not None else cfg.width
     if cfg.family == "cnn":
-        width = int(size) if axis == "width" else cfg.width
         return init_cnn(width, seed)
-    if axis == "width":
-        widths = [int(size)] * cfg.depth
-    elif axis == "depth":
-        widths = [cfg.width] * int(size)
-    else:
-        widths = [cfg.width] * cfg.depth
-    return init_ff(input_dim, widths, k, seed)
+    if cfg.family != "ff":
+        raise ValueError(f"unknown family {cfg.family!r}")
+    depth = int(size) if axis == "depth" else cfg.depth
+    return init_ff(data.train_x.shape[1], [width] * depth, data.num_classes, seed)
+
+
+def train_cell(cfg: ExperimentConfig, net, data: DataPair, seed: int, on_epoch=None):
+    """Train ``net`` in place with the config's loss, optimizer, schedule and stop rule."""
+    opt = make_optimizer(cfg.optimizer, cfg.base_lr)
+    return train(net, data, cfg.loss, opt, cfg.schedule, cfg.stop_rule(),
+                 cfg.batch_size, seed, on_epoch=on_epoch)
 
 
 def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int):
     """Train one grid cell and return its SweepRecord dicts (epoch 0 included)."""
     cell_cfg = _cell_config(cfg, axis, size)
     data = build_data(cell_cfg)
-    net = _cell_net(cfg, axis, size, seed, data.train_x.shape[1], data.num_classes)
+    # A small or subsampled train set can fall below the configured batch
+    # size; the cell then runs full-batch.
+    cell_cfg = replace(cell_cfg, batch_size=min(cfg.batch_size, data.train_x.shape[0]))
+    net = cell_net(cell_cfg, data, seed, axis, size)
     chash = cfg.config_hash()
     settings = cfg.settings()
-    # The samples axis can shrink the train set below the configured batch
-    # size; the cell then runs full-batch.
-    batch_size = min(cfg.batch_size, data.train_x.shape[0])
-    upe = updates_per_epoch(data.train_x.shape[0], batch_size)
-    schedule = LrSchedule(cfg.schedule, upe)
+    schedule = LrSchedule(cfg.schedule, updates_per_epoch(data.train_x.shape[0],
+                                                          cell_cfg.batch_size))
     theta0 = net.param_vector()
 
     records = []
@@ -290,16 +285,13 @@ def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int):
 
     loss0, grad0 = param_grad(net, data.train_x, data.train_y, cfg.loss)
     log(0, net, loss0, dataset_loss(net, data.test_x, data.test_y, cfg.loss),
-        float(np.linalg.norm(grad0)), schedule.coeff(0))
+        vector_norm(grad0), schedule.coeff(0))
 
     def on_epoch(epoch, current, rec):
         if epoch % cfg.eval_every == 0:
             log(epoch, current, rec.train_loss, rec.test_loss, rec.grad_norm, rec.eta)
 
-    opt = make_optimizer(cfg.optimizer, cfg.base_lr)
-    trace = train(net, data, cfg.loss, opt, cfg.schedule, cfg.stop_rule(),
-                  batch_size, seed, on_epoch=on_epoch)
-    final = trace.final
+    final = train_cell(cell_cfg, net, data, seed, on_epoch).final
     if final.epoch % cfg.eval_every != 0:
         log(final.epoch, net, final.train_loss, final.test_loss,
             final.grad_norm, final.eta)
@@ -318,11 +310,15 @@ def _cell_worker(args):
 def run_sweep(cfg: ExperimentConfig, axis: str, out_dir=None):
     """Run the full grid for one axis; returns (records, summary, failures).
 
-    Cells run on a process pool when the LIPTRACK_WORKERS environment
-    variable asks for more than one worker; output order is fixed either
-    way so results are reproducible.
+    With ``out_dir``, the run dir is created first and gets the records,
+    summary and failures at the end.  Cells run on a process pool when
+    LIPTRACK_WORKERS asks for more than one worker; output order is fixed.
     """
-    sizes = _axis_sizes(cfg, axis)
+    if axis not in AXIS_SIZES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    sizes = getattr(cfg, AXIS_SIZES[axis])
+    meta = {"subcommand": "sweep", "axis": axis}
+    run_dir = None if out_dir is None else write_run_dir(cfg, out_dir, meta)
     tasks = [(cfg.to_dict(), axis, size, seed) for size in sizes for seed in cfg.seeds]
     workers = int(os.environ.get(ENV_WORKERS, "1"))
     if workers > 1:
@@ -337,25 +333,11 @@ def run_sweep(cfg: ExperimentConfig, axis: str, out_dir=None):
         if failure is not None:
             failures.append(failure)
     summary = summarize(records)
-    if out_dir is not None:
-        write_run_dir(cfg, axis, records, summary, failures, out_dir)
+    if run_dir is not None:
+        write_records_jsonl(records, run_dir / "records.jsonl")
+        write_summary_csv(summary, run_dir / "summary.csv")
+        write_failures(failures, run_dir)
     return records, summary, failures
-
-
-def run_width_sweep(cfg: ExperimentConfig, out_dir=None):
-    return run_sweep(cfg, "width", out_dir)
-
-
-def run_depth_sweep(cfg: ExperimentConfig, out_dir=None):
-    return run_sweep(cfg, "depth", out_dir)
-
-
-def run_samples_sweep(cfg: ExperimentConfig, out_dir=None):
-    return run_sweep(cfg, "samples", out_dir)
-
-
-def run_noise_sweep(cfg: ExperimentConfig, out_dir=None):
-    return run_sweep(cfg, "noise", out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +399,24 @@ def write_summary_csv(rows, path) -> None:
             writer.writerow({k: row[k] for k in cols})
 
 
-def write_run_dir(cfg: ExperimentConfig, axis: str, records, summary, failures, out_dir) -> Path:
+def write_run_dir(cfg: ExperimentConfig, out_dir, meta: dict) -> Path:
+    """Create ``out_dir/run-<config-hash>/`` with ``config.json`` (``meta`` and
+    the config) and ``meta.json`` (``meta`` and the version); returns its path."""
     run_dir = Path(out_dir) / f"run-{cfg.config_hash()}"
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(
-        json.dumps({"axis": axis, "config": cfg.to_dict()}, indent=2, sort_keys=True) + "\n")
-    write_records_jsonl(records, run_dir / "records.jsonl")
-    write_summary_csv(summary, run_dir / "summary.csv")
-    if failures:
-        (run_dir / "failures.json").write_text(json.dumps(failures, indent=2) + "\n")
+        json.dumps({**meta, "config": cfg.to_dict()}, indent=2, sort_keys=True) + "\n")
+    (run_dir / "meta.json").write_text(json.dumps({"version": __version__, **meta}) + "\n")
     return run_dir
+
+
+def write_failures(failures, run_dir) -> None:
+    """Write ``failures.json``, or remove one left by an earlier run when there are none."""
+    path = Path(run_dir) / "failures.json"
+    if failures:
+        path.write_text(json.dumps(failures, indent=2) + "\n")
+    else:
+        path.unlink(missing_ok=True)
 
 
 PLOT_KINDS = ("bounds-vs-width", "bounds-vs-epoch", "variance-vs-width", "param-dist-vs-width")

@@ -49,6 +49,22 @@ class PowerIterSettings:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
+# OpenBLAS (0.3.x) sums a dot product on one thread up to this length and
+# splits longer ones across its threads, which reorders the sum.
+_SERIAL_DOT_LEN = 10000
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """2-norm of ``v``, the same at every BLAS thread count: one dot per block of
+    ``_SERIAL_DOT_LEN`` entries, so shorter vectors match ``np.linalg.norm``."""
+    v = np.ravel(v)
+    sq = 0.0
+    for lo in range(0, v.size, _SERIAL_DOT_LEN):
+        block = v[lo:lo + _SERIAL_DOT_LEN]
+        sq += float(block @ block)
+    return math.sqrt(sq)
+
+
 def _check_finite(m: np.ndarray, what: str) -> None:
     if not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")

@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import PowerIterSettings, make_rng, spectral_norm_dense, spectral_norm_operator
+from .linalg import (PowerIterSettings, make_rng, spectral_norm_dense, spectral_norm_operator,
+                     vector_norm)
 
 CHECKPOINT_FORMAT = "liptrack-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -463,7 +464,7 @@ def param_distance(net, reference: np.ndarray) -> float:
     theta = net.param_vector()
     if theta.shape != reference.shape:
         raise ValueError(f"parameter length {theta.shape[0]} vs reference {reference.shape[0]}")
-    return float(np.linalg.norm(theta - reference))
+    return vector_norm(theta - reference)
 
 
 def build_net(arch: dict):

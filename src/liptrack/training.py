@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import make_rng
+from .linalg import make_rng, vector_norm
 
 LOSS_KINDS = ("mse", "ce")
 SCHEDULE_VARIANTS = ("warmup20000step25", "cont100", "constant")
@@ -341,12 +341,12 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
         train_loss, grad = param_grad(net, x, y, kind)
         if not math.isfinite(train_loss):
             raise DivergenceError(epoch)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = vector_norm(grad)
         test_loss = dataset_loss(net, dataset.test_x, dataset.test_y, kind)
         record = EpochRecord(
             epoch=epoch, train_loss=train_loss, test_loss=test_loss,
             grad_norm=grad_norm, eta=coeff,
-            param_dist=float(np.linalg.norm(net.param_vector() - theta0)),
+            param_dist=vector_norm(net.param_vector() - theta0),
             wall_ms=(time.perf_counter() - started) * 1e3)
         trace.records.append(record)
         if on_epoch is not None:

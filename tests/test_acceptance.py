@@ -8,6 +8,7 @@ module-scoped because they take minutes; everything else runs in seconds.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,8 +153,9 @@ def ensemble_suite():
         suite.append((SeedEnsemble(members, list(range(n_members))), test_set))
 
     train_d, test_d = synthetic_fallback(400, 100, 12, 4, seed=7)
-    trained = train_ensemble(24, DataPair(train_d, test_d), [0, 1, 2, 3],
-                             "mse", "sgd", 0.05, "constant", 0, 40, 64)
+    cfg = ExperimentConfig(loss="mse", optimizer="sgd", base_lr=0.05, schedule="constant",
+                           min_epochs=0, max_epochs=40, batch_size=64, seeds=[0, 1, 2, 3])
+    trained = train_ensemble(cfg, DataPair(train_d, test_d), 24)
     suite.append((trained, test_d))
     return suite
 
@@ -424,10 +426,13 @@ def test_13_reruns_are_bit_exact(capsys, tmp_path):
             assert (out_a / run_name / name).read_bytes() == (out_b / run_name / name).read_bytes()
 
         pair = build_data(cfg)
+        # base_lr and power_iter pinned to the values the ensemble study
+        # used before it read them from the config.
+        bv_cfg = replace(cfg, widths=[6, 10], loss="mse", max_epochs=8, base_lr=0.01,
+                         power_iter={**cfg.power_iter, "max_iters": 10000})
         csvs = []
         for sub in ("x", "y"):
-            rows, failures = sweep_biasvar([6, 10], pair, [0, 1], kind="mse",
-                                           max_epochs=8, batch_size=64)
+            rows, failures = sweep_biasvar(bv_cfg, pair)
             assert failures == []
             path = tmp_path / f"biasvar_{sub}.csv"
             write_biasvar_csv(rows, path)

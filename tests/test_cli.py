@@ -8,11 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import liptrack.ensembles as ensembles
+import liptrack.harness as harness
 from liptrack import __version__
 from liptrack.cli import main
 from liptrack.ensembles import BIASVAR_CSV_COLUMNS
 from liptrack.harness import ExperimentConfig
 from liptrack.models import load_checkpoint
+from liptrack.training import DivergenceError
 
 
 def write_cfg(tmp_path, name="cfg.json", **kw):
@@ -128,6 +131,16 @@ def test_config_error_paths_exit_one(tmp_path, capsys):
                      "--out", out]) == 2  # validated at runtime, not parse time
 
 
+@pytest.mark.parametrize("subcommand", ["train", "biasvar"])
+@pytest.mark.parametrize("override, message", [("loss=hinge", "unknown loss kind 'hinge'"),
+                                               ("family=rnn", "unknown family 'rnn'")])
+def test_unknown_loss_or_family_is_named(tmp_path, capsys, subcommand, override, message):
+    cfg_path, _ = write_cfg(tmp_path, grad_norm_threshold=None)
+    assert run_main([subcommand, "--config", cfg_path, "--set", override,
+                     "--out", tmp_path / "runs"]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -141,7 +154,10 @@ def test_sweep_writes_run_dir_and_reruns_identically(tmp_path):
     records = (out_a / run / "records.jsonl").read_text().splitlines()
     sizes = {json.loads(line)["size"] for line in records}
     assert sizes == {4, 6}
-    assert json.loads((out_a / run / "config.json").read_text())["axis"] == "width"
+    config = json.loads((out_a / run / "config.json").read_text())
+    assert (config["subcommand"], config["axis"]) == ("sweep", "width")
+    meta = json.loads((out_a / run / "meta.json").read_text())
+    assert (meta["subcommand"], meta["axis"]) == ("sweep", "width")
     with open(out_a / run / "summary.csv", newline="") as fh:
         summary = list(csv.DictReader(fh))
     assert [row["size"] for row in summary] == ["4", "6"]
@@ -150,6 +166,26 @@ def test_sweep_writes_run_dir_and_reruns_identically(tmp_path):
                      "--out", out_b]) == 0
     for name in ["records.jsonl", "summary.csv", "config.json"]:
         assert (out_a / run / name).read_bytes() == (out_b / run / name).read_bytes()
+
+
+def test_sweep_clean_rerun_removes_stale_failures(tmp_path, monkeypatch):
+    cfg_path, cfg = write_cfg(tmp_path, seeds=[0], widths=[4, 6], max_epochs=1)
+    out = tmp_path / "runs"
+    failures = out / f"run-{cfg.config_hash()}" / "failures.json"
+    real_run_cell = harness.run_cell
+
+    def failing_run_cell(c, axis, size, seed):
+        if size == 6:
+            raise DivergenceError(1)
+        return real_run_cell(c, axis, size, seed)
+
+    monkeypatch.delenv("LIPTRACK_WORKERS", raising=False)
+    monkeypatch.setattr(harness, "run_cell", failing_run_cell)
+    assert run_main(["sweep", "--config", cfg_path, "--out", out]) == 0
+    assert [f["size"] for f in json.loads(failures.read_text())] == [6]
+    monkeypatch.setattr(harness, "run_cell", real_run_cell)
+    assert run_main(["sweep", "--config", cfg_path, "--out", out]) == 0
+    assert not failures.exists()
 
 
 def test_sweep_rejects_unknown_axis(tmp_path, capsys):
@@ -248,6 +284,31 @@ def test_bounds_stdout_identical_across_blas_thread_counts(tmp_path):
         assert outputs["1", extra] == outputs["2", extra]
 
 
+@pytest.mark.parametrize("subcommand, files", [
+    (["sweep", "--axis", "width"], ["records.jsonl", "summary.csv"]),
+    (["biasvar"], ["biasvar.csv"]),
+])
+def test_run_files_identical_across_blas_thread_counts(tmp_path, subcommand, files):
+    # Width 256 has 12800 parameters, past the 10000 entries from which
+    # OpenBLAS splits a dot product across threads, and GEMMs big enough
+    # to be threaded too.
+    cfg_path, cfg = write_cfg(tmp_path, widths=[16, 256], max_epochs=2, loss="mse")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, LIPTRACK_WORKERS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "liptrack.cli", *subcommand, "--config", str(cfg_path),
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        run_dir = out / f"run-{cfg.config_hash()}"
+        outputs[threads] = [(run_dir / name).read_bytes() for name in files]
+    assert all(outputs["1"])
+    assert outputs["1"] == outputs["2"]
+
+
 # ---------------------------------------------------------------------------
 # biasvar
 
@@ -276,6 +337,34 @@ def test_biasvar_xprime_variants(tmp_path):
     assert rows[0]["xprime_kind"] == "test_point:0"
     assert run_main(["biasvar", "--config", cfg_path, "--out", out,
                      "--xprime", "centroid"]) == 2
+
+
+def test_biasvar_honours_depth(tmp_path, monkeypatch):
+    cfg_path, _ = write_cfg(tmp_path, widths=[4, 6], seeds=[0, 1], loss="mse", depth=2)
+    real_report = ensembles.build_biasvar_report
+    member_widths = []
+
+    def recording_report(e, *args, **kwargs):
+        member_widths.append([m.arch_spec()["widths"] for m in e.members])
+        return real_report(e, *args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "build_biasvar_report", recording_report)
+    assert run_main(["biasvar", "--config", cfg_path, "--out", tmp_path / "runs"]) == 0
+    assert member_widths == [[[4, 4], [4, 4]], [[6, 6], [6, 6]]]
+
+
+def test_biasvar_honours_grad_norm_threshold(tmp_path):
+    # A threshold every gradient norm is below stops each member as soon
+    # as min_epochs allows: the CSV matches a one-epoch cap.
+    csvs = []
+    for name, kw in [("stop.json", {"grad_norm_threshold": 1e9, "min_epochs": 1,
+                                    "max_epochs": 5}),
+                     ("cap.json", {"grad_norm_threshold": None, "max_epochs": 1})]:
+        cfg_path, cfg = write_cfg(tmp_path, name=name, widths=[4], seeds=[0, 1],
+                                  loss="mse", **kw)
+        assert run_main(["biasvar", "--config", cfg_path, "--out", tmp_path / "runs"]) == 0
+        csvs.append((tmp_path / "runs" / f"run-{cfg.config_hash()}" / "biasvar.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 # ---------------------------------------------------------------------------

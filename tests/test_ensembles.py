@@ -21,6 +21,7 @@ from liptrack.ensembles import (
     variance_bound,
     write_biasvar_csv,
 )
+from liptrack.harness import ExperimentConfig
 from liptrack.linalg import PowerIterSettings, make_rng, svd_oracle
 from liptrack.models import init_ff
 from liptrack.training import one_hot
@@ -262,8 +263,10 @@ def test_build_biasvar_report_test_point_xprime():
 def test_train_ensemble_deterministic_and_distinct_members():
     train_set, test_set = synthetic_fallback(60, 20, d=8, num_classes=3, seed=12)
     data = DataPair(train_set, test_set)
-    a = train_ensemble(6, data, [0, 1], "mse", "sgd", 0.05, "constant", 0, 2, 32)
-    b = train_ensemble(6, data, [0, 1], "mse", "sgd", 0.05, "constant", 0, 2, 32)
+    cfg = ExperimentConfig(loss="mse", optimizer="sgd", base_lr=0.05, schedule="constant",
+                           min_epochs=0, max_epochs=2, batch_size=32, seeds=[0, 1])
+    a = train_ensemble(cfg, data, 6)
+    b = train_ensemble(cfg, data, 6)
     assert a.size == 2
     for ma, mb in zip(a.members, b.members):
         assert np.array_equal(ma.param_vector(), mb.param_vector())
@@ -274,8 +277,10 @@ def test_train_ensemble_deterministic_and_distinct_members():
 def test_sweep_biasvar_rows_and_failures():
     train_set, test_set = synthetic_fallback(60, 20, d=8, num_classes=3, seed=13)
     data = DataPair(train_set, test_set)
-    rows, failures = sweep_biasvar([4, 6], data, [0, 1], kind="mse", base_lr=0.05,
-                                   max_epochs=2, batch_size=32, settings=TIGHT)
+    cfg = ExperimentConfig(widths=[4, 6], seeds=[0, 1], loss="mse", base_lr=0.05,
+                           max_epochs=2, batch_size=32,
+                           power_iter={"max_iters": 5000, "rel_tol": 1e-13, "seed": 0})
+    rows, failures = sweep_biasvar(cfg, data)
     assert failures == []
     assert [r["width"] for r in rows] == [4, 6]
     for row in rows:
@@ -287,9 +292,7 @@ def test_sweep_biasvar_rows_and_failures():
     huge = Dataset(train_set.inputs * 1e200, train_set.labels, "train", "t", 3)
     huge_pair = DataPair(huge, Dataset(test_set.inputs, test_set.labels, "test", "t", 3))
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, failures = sweep_biasvar([4, 6], huge_pair, [0, 1], kind="mse",
-                                       base_lr=0.05, max_epochs=2, batch_size=32,
-                                       settings=TIGHT)
+        rows, failures = sweep_biasvar(cfg, huge_pair)
     assert rows == []
     assert [f["width"] for f in failures] == [4, 6]
     for f in failures:

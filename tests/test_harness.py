@@ -5,6 +5,7 @@ import json
 import pytest
 
 import liptrack.harness as harness
+from liptrack import __version__
 from liptrack.ensembles import build_biasvar_report
 from liptrack.harness import (
     PLOT_KINDS,
@@ -14,6 +15,7 @@ from liptrack.harness import (
     apply_overrides,
     apply_profile,
     build_data,
+    cell_net,
     cnn_param_count,
     emit_plot_data,
     ff_param_count,
@@ -22,11 +24,7 @@ from liptrack.harness import (
     load_config,
     read_records_jsonl,
     run_cell,
-    run_depth_sweep,
-    run_noise_sweep,
-    run_samples_sweep,
     run_sweep,
-    run_width_sweep,
     summarize,
     summary_columns,
     write_records_jsonl,
@@ -119,6 +117,8 @@ def test_stop_rule_and_settings_from_config():
     assert (rule.min_epochs, rule.max_epochs) == (2, 9)
     assert quick_cfg(grad_norm_threshold=None, loss="mse").stop_rule().grad_norm_threshold == 0.001
     assert quick_cfg(grad_norm_threshold=0.5).stop_rule().grad_norm_threshold == 0.5
+    with pytest.raises(ValueError, match="unknown loss kind 'hinge'"):
+        quick_cfg(grad_norm_threshold=None, loss="hinge").stop_rule()
     s = quick_cfg(power_iter={"max_iters": 7, "rel_tol": 1e-3, "seed": 5}).settings()
     assert (s.max_iters, s.rel_tol, s.seed) == (7, 1e-3, 5)
 
@@ -215,6 +215,19 @@ def test_run_cell_cadence_boundary():
     assert [r["epoch"] for r in records] == [0, 2, 4]
 
 
+def test_cell_net_sizes_follow_axis():
+    cfg = quick_cfg(width=5, depth=2)
+    data = build_data(cfg)
+    for axis, size, widths in [("width", None, [5, 5]), ("width", 7, [7, 7]),
+                               ("depth", 3, [5, 5, 5]), ("samples", 20, [5, 5])]:
+        spec = cell_net(cfg, data, 0, axis, size).arch_spec()
+        assert spec == {"family": "ff", "input_dim": 8, "widths": widths, "output_dim": 3}
+    assert cell_net(quick_cfg(family="cnn", width=2), data, 0, "width", 3).arch_spec() == \
+        {"family": "cnn", "width": 3}
+    with pytest.raises(ValueError, match="unknown family 'rnn'"):
+        cell_net(quick_cfg(family="rnn"), data, 0)
+
+
 def test_run_sweep_serial_matches_workers(monkeypatch, tmp_path):
     cfg = quick_cfg()
     monkeypatch.delenv("LIPTRACK_WORKERS", raising=False)
@@ -238,9 +251,9 @@ def test_axis_wrappers_route_sizes(monkeypatch):
     monkeypatch.delenv("LIPTRACK_WORKERS", raising=False)
     cfg = quick_cfg(seeds=[0], max_epochs=1, eval_every=1, depths=[1, 2],
                     samples_list=[20, 40], noise_list=[0.0, 1.0])
-    for runner, want in [(run_width_sweep, [4, 8]), (run_depth_sweep, [1, 2]),
-                         (run_samples_sweep, [20, 40]), (run_noise_sweep, [0.0, 1.0])]:
-        records, summary, failures = runner(cfg)
+    for axis, want in [("width", [4, 8]), ("depth", [1, 2]),
+                       ("samples", [20, 40]), ("noise", [0.0, 1.0])]:
+        records, summary, failures = run_sweep(cfg, axis)
         assert sorted({r["size"] for r in records}) == want
         assert failures == []
     # The samples axis actually shrinks the train set.
@@ -311,14 +324,29 @@ def test_record_and_summary_files_round_trip(tmp_path):
 
 def test_write_run_dir_layout(tmp_path):
     cfg = quick_cfg()
-    records = [fake_record(4, 0, 1, 1.0)]
-    run_dir = write_run_dir(cfg, "width", records, summarize(records), [], tmp_path)
+    run_dir = write_run_dir(cfg, tmp_path, {"axis": "width"})
     assert run_dir == tmp_path / f"run-{cfg.config_hash()}"
     meta = json.loads((run_dir / "config.json").read_text())
     assert meta["axis"] == "width"
     assert meta["config"] == cfg.to_dict()
-    assert (run_dir / "records.jsonl").exists()
-    assert (run_dir / "summary.csv").exists()
+    assert json.loads((run_dir / "meta.json").read_text()) == {"version": __version__,
+                                                               "axis": "width"}
+    assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "meta.json"]
+
+
+def test_run_sweep_writes_run_dir(monkeypatch, tmp_path):
+    monkeypatch.delenv("LIPTRACK_WORKERS", raising=False)
+    cfg = quick_cfg(seeds=[0], max_epochs=1, eval_every=1)
+    records, summary, _ = run_sweep(cfg, "width", out_dir=tmp_path)
+    run_dir = tmp_path / f"run-{cfg.config_hash()}"
+    meta = json.loads((run_dir / "config.json").read_text())
+    assert (meta["subcommand"], meta["axis"]) == ("sweep", "width")
+    assert meta["config"] == cfg.to_dict()
+    assert json.loads((run_dir / "meta.json").read_text()) == {
+        "version": __version__, "subcommand": "sweep", "axis": "width"}
+    assert read_records_jsonl(run_dir / "records.jsonl") == records
+    with open(run_dir / "summary.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == len(summary) == 2
     assert not (run_dir / "failures.json").exists()
 
 

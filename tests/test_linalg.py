@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from liptrack.linalg import (ORACLE_DIM_CAP, PowerIterSettings, make_rng,
                              materialize_operator, spectral_norm_dense,
-                             spectral_norm_operator, svd_oracle)
+                             spectral_norm_operator, svd_oracle, vector_norm)
 
 TIGHT = PowerIterSettings(max_iters=5000, rel_tol=1e-13, seed=0)
 
@@ -109,3 +109,14 @@ def test_materialize_operator_multi_axis_shapes():
     got = materialize_operator(apply, (2, 4))
     assert got.shape == (6, 8)
     assert np.allclose(got, m, atol=1e-14)
+
+
+def test_vector_norm_blocks_long_vectors():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 9999, 10000):
+        v = rng.standard_normal(n)
+        assert vector_norm(v) == float(np.linalg.norm(v))
+    v = rng.standard_normal(25001)
+    blocks = [v[:10000], v[10000:20000], v[20000:]]
+    assert vector_norm(v) == float(np.sqrt(sum(float(b @ b) for b in blocks)))
+    assert vector_norm(v) == pytest.approx(float(np.linalg.norm(v)), rel=1e-14)
