@@ -15,11 +15,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import ORACLE_DIM_CAP, PowerIterSettings, make_rng, spectral_norm_dense
+from .linalg import PowerIterSettings, make_rng, spectral_norm_dense
 
 _PROBE_STREAM = 0x9B0E
 
 PROBE_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+# Largest smaller side for which batch_spectral_norms takes one batched
+# eigvalsh of the Gram stack; beyond it each matrix gets power iteration.
+_BATCH_EIGH_SIDE_CAP = 512
 
 
 def batch_spectral_norms(mats: np.ndarray, settings: PowerIterSettings = PowerIterSettings()) -> np.ndarray:
@@ -33,7 +37,7 @@ def batch_spectral_norms(mats: np.ndarray, settings: PowerIterSettings = PowerIt
     n, k, d = mats.shape
     if n == 0:
         return np.zeros(0)
-    if min(k, d) <= ORACLE_DIM_CAP:
+    if min(k, d) <= _BATCH_EIGH_SIDE_CAP:
         if k <= d:
             gram = mats @ mats.transpose(0, 2, 1)
         else:

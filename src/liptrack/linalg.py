@@ -54,15 +54,22 @@ class PowerIterSettings:
 _SERIAL_DOT_LEN = 10000
 
 
+def vector_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two same-size arrays, the same at every BLAS thread
+    count: one dot per block of ``_SERIAL_DOT_LEN`` entries, so shorter
+    arrays match ``np.vdot``."""
+    if a.size <= _SERIAL_DOT_LEN:
+        return float(np.vdot(a, b))
+    a = np.ravel(a)
+    b = np.ravel(b)
+    return sum(float(np.vdot(a[lo:lo + _SERIAL_DOT_LEN], b[lo:lo + _SERIAL_DOT_LEN]))
+               for lo in range(0, a.size, _SERIAL_DOT_LEN))
+
+
 def vector_norm(v: np.ndarray) -> float:
-    """2-norm of ``v``, the same at every BLAS thread count: one dot per block of
-    ``_SERIAL_DOT_LEN`` entries, so shorter vectors match ``np.linalg.norm``."""
-    v = np.ravel(v)
-    sq = 0.0
-    for lo in range(0, v.size, _SERIAL_DOT_LEN):
-        block = v[lo:lo + _SERIAL_DOT_LEN]
-        sq += float(block @ block)
-    return math.sqrt(sq)
+    """2-norm of ``v`` from :func:`vector_dot`, so it matches
+    ``np.linalg.norm`` up to ``_SERIAL_DOT_LEN`` entries."""
+    return math.sqrt(vector_dot(v, v))
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:
@@ -84,13 +91,15 @@ def _top_gram_eigenvalue(
     3-dim subspace restores fast convergence at the same one-apply-per-step
     cost.  Stops when ``||G x - rho x|| <= rel_tol * rho``, which certifies
     an eigenvalue within ``rel_tol * rho`` of the estimate.  Every estimate
-    is a Rayleigh quotient, hence a lower bound in exact arithmetic.
+    is a Rayleigh quotient, hence a lower bound in exact arithmetic.  Dots
+    and norms go through :func:`vector_dot`, so the estimate is the same at
+    every BLAS thread count.
     """
     for _ in range(8):
         x = rng.standard_normal(in_shape)
-        x /= np.linalg.norm(x)
+        x /= vector_norm(x)
         gx = np.asarray(gmul(x), dtype=np.float64)
-        rho = float(np.vdot(x, gx))
+        rho = vector_dot(x, gx)
         if rho > 0.0:
             break
     else:
@@ -100,12 +109,12 @@ def _top_gram_eigenvalue(
     gp = None
     for _ in range(settings.max_iters):
         r = gx - rho * x
-        if float(np.linalg.norm(r)) <= settings.rel_tol * rho:
+        if vector_norm(r) <= settings.rel_tol * rho:
             break
         # Orthonormalize [x, r, p]; images follow the same combinations.
-        cx = float(np.vdot(x, r))
+        cx = vector_dot(x, r)
         r = r - cx * x
-        rn = float(np.linalg.norm(r))
+        rn = vector_norm(r)
         if rn <= 1e-300:
             break
         r /= rn
@@ -113,11 +122,11 @@ def _top_gram_eigenvalue(
         basis = [x, r]
         images = [gx, gr]
         if p is not None:
-            q = p - float(np.vdot(x, p)) * x
-            gq = gp - float(np.vdot(x, p)) * gx
-            q2 = q - float(np.vdot(r, q)) * r
-            gq2 = gq - float(np.vdot(r, q)) * gr
-            qn = float(np.linalg.norm(q2))
+            q = p - vector_dot(x, p) * x
+            gq = gp - vector_dot(x, p) * gx
+            q2 = q - vector_dot(r, q) * r
+            gq2 = gq - vector_dot(r, q) * gr
+            qn = vector_norm(q2)
             if qn > 1e-12:
                 basis.append(q2 / qn)
                 images.append(gq2 / qn)
@@ -125,7 +134,7 @@ def _top_gram_eigenvalue(
         h = np.empty((k, k))
         for i in range(k):
             for j in range(k):
-                h[i, j] = float(np.vdot(basis[i], images[j]))
+                h[i, j] = vector_dot(basis[i], images[j])
         h = 0.5 * (h + h.T)
         evals, evecs = np.linalg.eigh(h)
         y = evecs[:, -1]
@@ -135,14 +144,14 @@ def _top_gram_eigenvalue(
         # Momentum: the part of the step orthogonal to the old iterate.
         p = sum(y[i] * basis[i] for i in range(1, k))
         gp = sum(y[i] * images[i] for i in range(1, k))
-        pn = float(np.linalg.norm(p))
+        pn = vector_norm(p)
         if pn > 1e-12:
             p /= pn
             gp /= pn
         else:
             p = None
             gp = None
-        xn = float(np.linalg.norm(x_new))
+        xn = vector_norm(x_new)
         x = x_new / xn
         gx = gx_new / xn
     return max(rho, 0.0)

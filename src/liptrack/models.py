@@ -190,57 +190,52 @@ def init_ff(input_dim: int, widths: Sequence[int], output_dim: int, seed: int) -
 # Conv net
 
 
-def _pad1(x: np.ndarray) -> np.ndarray:
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2, w + 2))
-    out[:, :, 1:-1, 1:-1] = x
-    return out
+def _patches(img: np.ndarray) -> np.ndarray:
+    """im2col of one (c, h, w) image, zero-padded by 1: rows ordered
+    (channel, di, dj), one column per output pixel, so a (c_out, c·9)
+    kernel matrix times it is the 3x3 convolution."""
+    c, h, w = img.shape
+    padded = np.zeros((c, h + 2, w + 2))
+    padded[:, 1:-1, 1:-1] = img
+    cols = np.empty((c, 3, 3, h, w))
+    for di in range(3):
+        for dj in range(3):
+            cols[:, di, dj] = padded[:, di:di + h, dj:dj + w]
+    return cols.reshape(c * 9, h * w)
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """3x3 convolution, stride 1, zero padding 1, zero bias.
 
-    ``x``: (n, c_in, h, w); ``kernel``: (c_out, c_in, 3, 3).
-    Written as 9 shifted channel contractions so BLAS does the work.
+    ``x``: (n, c_in, h, w); ``kernel``: (c_out, c_in, 3, 3).  Each image is
+    one GEMM of the kernel matrix with its patch matrix, so a sample's
+    result does not depend on the batch it sits in.
     """
-    n, c_in, h, w = x.shape
-    xp = _pad1(x)
-    out = np.zeros((n, kernel.shape[0], h, w))
-    for di in range(3):
-        for dj in range(3):
-            patch = xp[:, :, di:di + h, dj:dj + w]
-            contrib = np.tensordot(patch, kernel[:, :, di, dj], axes=([1], [1]))
-            out += contrib.transpose(0, 3, 1, 2)
+    n, _, h, w = x.shape
+    c_out = kernel.shape[0]
+    kmat = kernel.reshape(c_out, -1)
+    out = np.empty((n, c_out, h, w))
+    for b in range(n):
+        np.matmul(kmat, _patches(x[b]), out=out[b].reshape(c_out, h * w))
     return out
 
 
 def conv2d_adjoint(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Exact transpose of :func:`conv2d` as a linear map in ``x``.
-
-    ``g`` is copied to one channel-last row-major matrix first, so every
-    batch size reaches BLAS with the same layout and a sample's result
-    does not depend on the batch it sits in.
-    """
-    n, c_out, h, w = g.shape
-    rows = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * h * w, c_out)
-    dxp = np.zeros((n, kernel.shape[1], h + 2, w + 2))
-    for di in range(3):
-        for dj in range(3):
-            contrib = (rows @ kernel[:, :, di, dj]).reshape(n, h, w, -1)
-            dxp[:, :, di:di + h, dj:dj + w] += contrib.transpose(0, 3, 1, 2)
-    return dxp[:, :, 1:-1, 1:-1]
+    """Exact transpose of :func:`conv2d` as a linear map in ``x``: the
+    convolution of ``g`` with the kernel flipped in space and transposed in
+    channels."""
+    return conv2d(g, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
 def conv2d_kernel_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    n, c_in, h, w = x.shape
+    """Gradient of ``<conv2d(x, k), g>`` in ``k``: per image, ``g`` times the
+    transposed patch matrix, summed over the images in order."""
+    n, c_in = x.shape[:2]
     c_out = g.shape[1]
-    xp = _pad1(x)
-    dk = np.zeros((c_out, c_in, 3, 3))
-    for di in range(3):
-        for dj in range(3):
-            patch = xp[:, :, di:di + h, dj:dj + w]
-            dk[:, :, di, dj] = np.tensordot(g, patch, axes=([0, 2, 3], [0, 2, 3]))
-    return dk
+    dk = np.zeros((c_out, c_in * 9))
+    for b in range(n):
+        dk += g[b].reshape(c_out, -1) @ _patches(x[b]).T
+    return dk.reshape(c_out, c_in, 3, 3)
 
 
 def maxpool(x: np.ndarray, p: int):
@@ -274,7 +269,8 @@ def conv_spectral_norm(kernel: np.ndarray, in_hw: tuple[int, int],
     """Operator 2-norm of a padded 3x3 conv layer at a given spatial size.
 
     Runs power iteration on the implicit map instead of materializing
-    the block-Toeplitz matrix of the convolution.
+    the block-Toeplitz matrix of the convolution; each step applies
+    :func:`conv2d` and :func:`conv2d_adjoint`, one GEMM each.
     """
     c_out, c_in = kernel.shape[0], kernel.shape[1]
     h, w = in_hw

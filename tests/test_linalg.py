@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from liptrack.linalg import (ORACLE_DIM_CAP, PowerIterSettings, make_rng,
                              materialize_operator, spectral_norm_dense,
-                             spectral_norm_operator, svd_oracle, vector_norm)
+                             spectral_norm_operator, svd_oracle, vector_dot,
+                             vector_norm)
 
 TIGHT = PowerIterSettings(max_iters=5000, rel_tol=1e-13, seed=0)
 
@@ -120,3 +121,15 @@ def test_vector_norm_blocks_long_vectors():
     blocks = [v[:10000], v[10000:20000], v[20000:]]
     assert vector_norm(v) == float(np.sqrt(sum(float(b @ b) for b in blocks)))
     assert vector_norm(v) == pytest.approx(float(np.linalg.norm(v)), rel=1e-14)
+
+
+def test_vector_dot_blocks_long_arrays():
+    rng = np.random.default_rng(4)
+    for n in (0, 1, 9999, 10000):
+        a, b = rng.standard_normal((2, n))
+        assert vector_dot(a, b) == float(np.vdot(a, b))
+    a, b = rng.standard_normal((2, 3, 5, 1667))  # 25005 entries, three blocks
+    fa, fb = a.ravel(), b.ravel()
+    blocks = [slice(0, 10000), slice(10000, 20000), slice(20000, None)]
+    assert vector_dot(a, b) == sum(float(fa[s] @ fb[s]) for s in blocks)
+    assert vector_dot(a, b) == pytest.approx(float(np.vdot(a, b)), rel=1e-12)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,6 +323,75 @@ def test_conv2d_kernel_grad_inner_product_identity():
     lhs = float(np.vdot(conv2d(x, k), g))
     rhs = float(np.vdot(k, conv2d_kernel_grad(x, g)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("c_out, c_in, h, w", [(3, 2, 5, 7), (2, 3, 7, 5), (2, 3, 1, 1),
+                                               (3, 1, 4, 6), (1, 2, 2, 3)])
+def test_conv_kernels_match_naive_at_edge_shapes(c_out, c_in, h, w):
+    # The patch layout depends on w, so non-square and 1x1 images and a
+    # single input channel each get their own oracle check.
+    rng = make_rng(12, 10, c_out, c_in, h, w)
+    x = rng.standard_normal((2, c_in, h, w))
+    k = rng.standard_normal((c_out, c_in, 3, 3))
+    g = rng.standard_normal((2, c_out, h, w))
+    np.testing.assert_allclose(conv2d(x, k), conv2d_naive(x, k), rtol=1e-12, atol=1e-12)
+    mat = materialize_operator(lambda v: conv2d_naive(v[None], k)[0], (c_in, h, w))
+    for b in range(2):
+        np.testing.assert_allclose(conv2d_adjoint(g[b:b + 1], k)[0].ravel(), mat.T @ g[b].ravel(),
+                                   rtol=1e-12, atol=1e-12)
+    # conv2d is linear in the kernel: the gradient's entries are <conv(x, e), g>
+    # over the unit kernels e.
+    want = np.zeros(k.size)
+    for i in range(k.size):
+        e = np.zeros(k.size)
+        e[i] = 1.0
+        want[i] = np.vdot(conv2d_naive(x, e.reshape(k.shape)), g)
+    np.testing.assert_allclose(conv2d_kernel_grad(x, g).ravel(), want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv_kernels_batch_images_equal_single_calls():
+    rng = make_rng(13, 10)
+    x = rng.standard_normal((3, 4, 6, 5))
+    k = rng.standard_normal((5, 4, 3, 3))
+    g = rng.standard_normal((3, 5, 6, 5))
+    out, back = conv2d(x, k), conv2d_adjoint(g, k)
+    for b in range(3):
+        assert np.array_equal(out[b], conv2d(x[b:b + 1], k)[0])
+        assert np.array_equal(back[b], conv2d_adjoint(g[b:b + 1], k)[0])
+    # The kernel gradient adds the images' terms in batch order.
+    singles = [conv2d_kernel_grad(x[b:b + 1], g[b:b + 1]) for b in range(3)]
+    assert np.array_equal(conv2d_kernel_grad(x, g), singles[0] + singles[1] + singles[2])
+
+
+def test_conv_kernels_identical_across_blas_thread_counts():
+    # A 12->24-channel kernel at 32x32: the operator has 12288 input entries,
+    # past the 10000 from which OpenBLAS splits a dot product across threads.
+    # With whole-vector dots in the power iteration, this kernel's norm
+    # changed in the last bit between 1 and 2 threads.
+    code = (
+        "import hashlib, numpy as np\n"
+        "from liptrack.linalg import make_rng\n"
+        "from liptrack.models import conv2d, conv2d_adjoint, conv2d_kernel_grad, conv_spectral_norm\n"
+        "rng = make_rng(14, 11)\n"
+        "k = rng.standard_normal((24, 12, 3, 3))\n"
+        "x = rng.standard_normal((2, 12, 32, 32))\n"
+        "g = rng.standard_normal((2, 24, 32, 32))\n"
+        "h = hashlib.sha256()\n"
+        "for a in (conv2d(x, k), conv2d_adjoint(g, k), conv2d_kernel_grad(x, g)):\n"
+        "    h.update(a.tobytes())\n"
+        "print(h.hexdigest(), repr(conv_spectral_norm(k, (32, 32))))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = proc.stdout
+    assert outputs["1"].strip()
+    assert outputs["1"] == outputs["2"]
 
 
 def test_maxpool_matches_naive_and_pool1_passthrough():
