@@ -15,35 +15,24 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import PowerIterSettings, make_rng, spectral_norm_dense
+from .linalg import (EXACT_SIDE_CAP, PowerIterSettings, gram_spectral_norms, make_rng,
+                     spectral_norm_dense)
 
 _PROBE_STREAM = 0x9B0E
 
 PROBE_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
-# Largest smaller side for which batch_spectral_norms takes one batched
-# eigvalsh of the Gram stack; beyond it each matrix gets power iteration.
-_BATCH_EIGH_SIDE_CAP = 512
-
 
 def batch_spectral_norms(mats: np.ndarray, settings: PowerIterSettings = PowerIterSettings()) -> np.ndarray:
-    """Spectral norm of each matrix in a (n, k, d) stack.
-
-    When the smaller side is modest the whole stack is handled with one
-    batched eigen-solve of the Gram matrices, which for 10 x 40 Jacobians
-    is orders of magnitude faster than per-matrix iteration.
-    """
+    """Spectral norm of each matrix in a (n, k, d) stack: exact, from one
+    batched eigen-solve of the Gram stack, when the smaller side is at most
+    ``EXACT_SIDE_CAP`` (10 x 40 Jacobians, say); else power iteration each."""
     mats = np.asarray(mats, dtype=np.float64)
     n, k, d = mats.shape
     if n == 0:
         return np.zeros(0)
-    if min(k, d) <= _BATCH_EIGH_SIDE_CAP:
-        if k <= d:
-            gram = mats @ mats.transpose(0, 2, 1)
-        else:
-            gram = mats.transpose(0, 2, 1) @ mats
-        eigs = np.linalg.eigvalsh(gram)[:, -1]
-        return np.sqrt(np.clip(eigs, 0.0, None))
+    if min(k, d) <= EXACT_SIDE_CAP:
+        return gram_spectral_norms(mats)
     return np.array([spectral_norm_dense(m, settings) for m in mats])
 
 
@@ -119,7 +108,8 @@ def lower_bound(net, samples: np.ndarray, chunk: int = 256):
 
 
 def upper_bound(net, settings: PowerIterSettings = PowerIterSettings()) -> float:
-    """Product of the per-layer operator norms."""
+    """Product of the per-layer operator norms, each exact for a dense layer
+    with a side within ``EXACT_SIDE_CAP``, else a power-iteration estimate from below."""
     out = 1.0
     for sigma in net.layer_spectral_norms(settings):
         out *= sigma

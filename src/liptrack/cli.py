@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import ProbeSet, build_report
-from .datasets import load_cifar10, load_mnist1d, synthetic_fallback
 from .ensembles import sweep_biasvar, write_biasvar_csv
 from .harness import (ExperimentConfig, PLOT_KINDS, SWEEP_AXES, apply_overrides, apply_profile,
                       build_data, cell_net, emit_plot_data, read_records_jsonl, run_sweep,
@@ -79,21 +78,15 @@ def _effective_config(args) -> ExperimentConfig:
 
 def _load_data_ref(ref: str, kind: str | None):
     """Resolve a --data reference: 'synthetic', a CSV file/dir, or a CIFAR dir."""
-    if ref == "synthetic":
-        return synthetic_fallback(4000, 1000, 40, 10, 0)
-    path = Path(ref)
-    if not path.exists():
-        raise ConfigError(f"data reference not found: {path}")
-    if kind is None:
-        if path.is_dir() and (path / "data_batch_1.bin").exists():
-            kind = "cifar10"
-        else:
-            kind = "mnist1d"
-    if kind == "mnist1d":
-        return load_mnist1d(path)
-    if kind == "cifar10":
-        return load_cifar10(path)
-    raise ConfigError(f"unknown data kind {kind!r}")
+    cfg = ExperimentConfig()
+    if ref != "synthetic":
+        path = Path(ref)
+        if not path.exists():
+            raise ConfigError(f"data reference not found: {path}")
+        if kind is None:
+            kind = "cifar10" if path.is_dir() and (path / "data_batch_1.bin").exists() else "mnist1d"
+        cfg.dataset.update(kind=kind, path=path)
+    return build_data(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +124,12 @@ def _cmd_bounds(args) -> int:
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     net, meta = load_checkpoint(ckpt_path)
-    train_d, test_d = _load_data_ref(args.data, args.data_kind)
+    data = _load_data_ref(args.data, args.data_kind)
     probe = None
     if args.probe:
-        probe = ProbeSet(train_d.inputs, test_d.inputs, args.pairs_per_lambda,
+        probe = ProbeSet(data.train.inputs, data.test.inputs, args.pairs_per_lambda,
                          args.probe_seed)
-    report = build_report(net, train_d.inputs,
+    report = build_report(net, data.train.inputs,
                           {"arch": meta["arch"], "seed": meta["seed"], "epoch": meta["epoch"]},
                           probe=probe, softmax_composed=args.softmax)
     print(report.to_json())

@@ -75,6 +75,9 @@ class ExperimentConfig:
     probe_seed: int = 0
     power_iter: dict = field(default_factory=lambda: {"max_iters": 1000, "rel_tol": 1e-9, "seed": 0})
 
+    def __post_init__(self):
+        self.settings()  # bad power_iter values fail here, before any run starts
+
     def stop_rule(self) -> StopRule:
         if self.grad_norm_threshold is None:
             return default_stop(self.loss, self.min_epochs, self.max_epochs)

@@ -1,4 +1,6 @@
-"""Seeded randomness, power-iteration spectral norms, and an exact oracle.
+"""Seeded randomness, spectral norms, and an exact oracle.  Dense norms are
+exact up to ``EXACT_SIDE_CAP`` on the smaller side; wider dense matrices
+and implicit operators (the convs) get power iteration.
 
 All analysis quantities are 64-bit floats.  Matrices are plain 2-D
 ``numpy`` arrays (row-major), vectors 1-D arrays.  Randomness always
@@ -16,6 +18,10 @@ import numpy as np
 
 # Side cap for the exact oracle; it is O(n^3) per sweep and meant for tests.
 ORACLE_DIM_CAP = 512
+
+# Largest smaller side whose dense norm is exact: up to here eigvalsh of the
+# Gram gives the same bits at 1 and 2 OpenBLAS threads (from side 224 it did not).
+EXACT_SIDE_CAP = 128
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -72,9 +78,13 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(vector_dot(v, v))
 
 
-def _check_finite(m: np.ndarray, what: str) -> None:
+def _as_matrix(m) -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
-        raise ValueError(f"{what} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
+    return m
 
 
 def _top_gram_eigenvalue(
@@ -157,18 +167,22 @@ def _top_gram_eigenvalue(
     return max(rho, 0.0)
 
 
-def spectral_norm_dense(m: np.ndarray, settings: PowerIterSettings = PowerIterSettings()) -> float:
-    """Largest singular value of a dense matrix via power iteration.
+def gram_spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Exact spectral norms of a (n, k, d) stack from its smaller-side Grams."""
+    tr = mats.transpose(0, 2, 1)
+    gram = mats @ tr if mats.shape[1] <= mats.shape[2] else tr @ mats
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
 
-    The estimate is ``||m v||`` for a unit vector ``v``, so it can only
-    approach the true value from below.  A zero matrix returns 0.
+
+def spectral_norm_dense(m: np.ndarray, settings: PowerIterSettings = PowerIterSettings()) -> float:
+    """Largest singular value of a dense matrix, exact when the smaller side
+    is at most ``EXACT_SIDE_CAP``.  Above it, power iteration: the estimate
+    is ``||m v||`` for a unit vector ``v``, so it can only approach the true
+    value from below.  A zero matrix returns 0.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    _check_finite(m, "matrix")
-    if not m.any():
-        return 0.0
+    m = _as_matrix(m)
+    if min(m.shape) <= EXACT_SIDE_CAP:
+        return float(gram_spectral_norms(m[None])[0])
 
     rng = make_rng(settings.seed, 0x5BEC)
     rho = _top_gram_eigenvalue(lambda v: m.T @ (m @ v), (m.shape[1],), rng, settings)
@@ -217,16 +231,13 @@ def _jacobi_max_eigenvalue(g: np.ndarray, tol: float = 1e-15, max_sweeps: int = 
 def svd_oracle(m: np.ndarray) -> float:
     """Largest singular value via Jacobi rotations on the Gram matrix.
 
-    Independent of the power-iteration path; used as the ground truth in
+    Independent of the LAPACK and power-iteration paths; the ground truth in
     tests.  Capped at 512 per side because each sweep is cubic.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    m = _as_matrix(m)
     rows, cols = m.shape
     if rows > ORACLE_DIM_CAP or cols > ORACLE_DIM_CAP:
         raise ValueError(f"oracle capped at {ORACLE_DIM_CAP} per side, got {rows}x{cols}")
-    _check_finite(m, "matrix")
     gram = m.T @ m if cols <= rows else m @ m.T
     lam = _jacobi_max_eigenvalue(gram)
     return math.sqrt(max(lam, 0.0))

@@ -42,8 +42,8 @@ def test_batch_spectral_norms_match_svd_oracle():
 
 
 def test_batch_spectral_norms_iterative_branch():
-    # min(k, d) above the dense-oracle cap falls back to per-matrix power
-    # iteration; numpy's SVD is the independent reference there.
+    # min(k, d) above linalg.EXACT_SIDE_CAP (128) falls back to per-matrix
+    # power iteration; numpy's SVD is the independent reference there.
     rng = make_rng(1, 30)
     mats = rng.standard_normal((2, 513, 520))
     got = batch_spectral_norms(mats, TIGHT)

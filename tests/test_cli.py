@@ -127,6 +127,13 @@ def test_config_error_paths_exit_one(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
     assert run_main(["train", "--config", cfg_path, "--profile", "cloud",
                      "--out", out]) == 1
+    # Bad power-iteration settings fail when the config is built: no run dir.
+    for subcommand, override in (("sweep", "power_iter.max_iters=0"),
+                                 ("biasvar", "power_iter.rel_tol=0")):
+        assert run_main([subcommand, "--config", cfg_path, "--set", override,
+                         "--out", out]) == 1
+        assert "bad config value" in capsys.readouterr().err
+        assert not out.exists()
     assert run_main(["train", "--config", cfg_path, "--set", "batch_size=1000",
                      "--out", out]) == 2  # validated at runtime, not parse time
 

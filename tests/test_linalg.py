@@ -10,6 +10,18 @@ from liptrack.linalg import (ORACLE_DIM_CAP, PowerIterSettings, make_rng,
 TIGHT = PowerIterSettings(max_iters=5000, rel_tol=1e-13, seed=0)
 
 
+def _dense_power_iteration(m, settings):
+    m = np.asarray(m, dtype=np.float64)
+    return spectral_norm_operator(lambda v: m @ v, lambda u: m.T @ u,
+                                  (m.shape[1],), (m.shape[0],), settings)
+
+
+# spectral_norm_dense is exact for every shape these tests draw (all within
+# EXACT_SIDE_CAP); power iteration on the same map keeps its oracle checks.
+DENSE_NORMS = pytest.mark.parametrize("norm", [spectral_norm_dense, _dense_power_iteration],
+                                      ids=["dense", "power_iteration"])
+
+
 def test_make_rng_deterministic_and_stream_separated():
     a = make_rng(7).standard_normal(5)
     b = make_rng(7).standard_normal(5)
@@ -41,24 +53,27 @@ def test_svd_oracle_rejects_oversize():
         svd_oracle(np.zeros((ORACLE_DIM_CAP + 1, ORACLE_DIM_CAP + 1)))
 
 
-def test_power_iteration_matches_oracle():
+@DENSE_NORMS
+def test_power_iteration_matches_oracle(norm):
     rng = make_rng(1)
     for case in range(25):
         shape = (int(rng.integers(1, 64)), int(rng.integers(1, 64)))
         m = rng.standard_normal(shape) * float(rng.uniform(0.1, 10))
         want = svd_oracle(m)
-        got = spectral_norm_dense(m, TIGHT)
+        got = norm(m, TIGHT)
         assert got == pytest.approx(want, rel=1e-6), f"case {case} shape {shape}"
 
 
-def test_power_iteration_zero_matrix():
-    assert spectral_norm_dense(np.zeros((5, 3)), TIGHT) == 0.0
+@DENSE_NORMS
+def test_power_iteration_zero_matrix(norm):
+    assert norm(np.zeros((5, 3)), TIGHT) == 0.0
 
 
-def test_power_iteration_gap_free_matrix():
+@DENSE_NORMS
+def test_power_iteration_gap_free_matrix(norm):
     # Equal singular values leave nothing for the iteration to separate.
     m = 2.5 * np.eye(6)
-    assert spectral_norm_dense(m, TIGHT) == pytest.approx(2.5, rel=1e-9)
+    assert norm(m, TIGHT) == pytest.approx(2.5, rel=1e-9)
 
 
 def test_settings_validation():
@@ -68,11 +83,12 @@ def test_settings_validation():
         PowerIterSettings(rel_tol=0.0)
 
 
+@DENSE_NORMS
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 20), st.integers(1, 20))
-def test_power_iteration_never_exceeds_oracle_property(seed, rows, cols):
+def test_power_iteration_never_exceeds_oracle_property(norm, seed, rows, cols):
     m = make_rng(seed).standard_normal((rows, cols))
-    got = spectral_norm_dense(m, TIGHT)
+    got = norm(m, TIGHT)
     want = svd_oracle(m)
     assert got <= want * (1 + 1e-9)
     assert got == pytest.approx(want, rel=1e-6)

@@ -380,6 +380,13 @@ def test_conv_kernels_identical_across_blas_thread_counts():
         "for a in (conv2d(x, k), conv2d_adjoint(g, k), conv2d_kernel_grad(x, g)):\n"
         "    h.update(a.tobytes())\n"
         "print(h.hexdigest(), repr(conv_spectral_norm(k, (32, 32))))\n"
+        # Dense norms: exact at the side cap and for a tall matrix, and the
+        # batched Jacobian path at the cap.
+        "from liptrack.bounds import batch_spectral_norms\n"
+        "from liptrack.linalg import EXACT_SIDE_CAP as cap, spectral_norm_dense\n"
+        "print(repr(spectral_norm_dense(rng.standard_normal((cap, cap)))),\n"
+        "      repr(spectral_norm_dense(rng.standard_normal((20000, 40)))),\n"
+        "      batch_spectral_norms(rng.standard_normal((3, cap, cap + 7))).tolist())\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = {}
