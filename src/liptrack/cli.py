@@ -21,7 +21,7 @@ from .harness import (ExperimentConfig, PLOT_KINDS, SWEEP_AXES, apply_overrides,
                       build_data, cell_net, emit_plot_data, read_records_jsonl, run_sweep,
                       train_cell, write_failures, write_run_dir)
 from .models import load_checkpoint, save_checkpoint
-from .training import DivergenceError
+from .training import DivergenceError, check_batch_size
 
 
 class ConfigError(Exception):
@@ -95,8 +95,9 @@ def _load_data_ref(ref: str, kind: str | None):
 
 def _cmd_train(args) -> int:
     cfg = _effective_config(args)
-    run_dir = write_run_dir(cfg, args.out, {"subcommand": "train"})
     data = build_data(cfg)
+    check_batch_size(cfg.batch_size, data.train_x.shape[0])  # before the run dir exists
+    run_dir = write_run_dir(cfg, args.out, {"subcommand": "train"})
     seed = cfg.seeds[0]
     net = cell_net(cfg, data, seed)
     _log(f"training {cfg.family} width={cfg.width} seed={seed} -> {run_dir}")
@@ -138,8 +139,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_biasvar(args) -> int:
     cfg = _effective_config(args)
-    run_dir = write_run_dir(cfg, args.out, {"subcommand": "biasvar"})
     data = build_data(cfg)
+    check_batch_size(cfg.batch_size, data.train_x.shape[0])  # before the run dir exists
+    run_dir = write_run_dir(cfg, args.out, {"subcommand": "biasvar"})
     _log(f"bias-variance sweep over widths {cfg.widths} -> {run_dir}")
     rows, failures = sweep_biasvar(cfg, data, args.xprime)
     write_biasvar_csv(rows, run_dir / "biasvar.csv")

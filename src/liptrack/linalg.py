@@ -2,6 +2,16 @@
 exact up to ``EXACT_SIDE_CAP`` on the smaller side; wider dense matrices
 and implicit operators (the convs) get power iteration.
 
+A power-iteration step costs one apply of the Gram map plus a fixed amount
+of bookkeeping, so the bookkeeping is kept small: the Rayleigh-Ritz basis
+``[x, r, p]`` and its images live in one stacked array allocated once per
+solve, and the 3x3 projection and the Ritz combinations are one small GEMM
+each rather than a loop of dots.  The conv applies
+(``models.conv_spectral_norm``) likewise keep their padded image, window
+view and patch matrix across steps.  Long sums are blocked (``vector_dot``,
+``stable_matmul``) so that every norm is the same at every BLAS thread
+count.
+
 All analysis quantities are 64-bit floats.  Matrices are plain 2-D
 ``numpy`` arrays (row-major), vectors 1-D arrays.  Randomness always
 flows through :func:`make_rng` so that a single 64-bit seed fixes every
@@ -78,6 +88,25 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(vector_dot(v, v))
 
 
+# Past this inner length OpenBLAS (0.3.x) may order a matrix product's sums
+# differently at 1 and 2 threads (seen from 400 on).  Up to it, the products
+# liptrack makes (the conv GEMMs on the CNN's 32/16/8 grids, dense matrix-
+# vector products) gave the same bits at both.
+_SERIAL_INNER_LEN = 384
+
+
+def stable_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` summed over the inner dimension in blocks of
+    ``_SERIAL_INNER_LEN``, added in order, so that the inner length does not
+    make the result depend on the BLAS thread count; a shorter product is
+    one ``np.matmul``."""
+    step = _SERIAL_INNER_LEN
+    out = np.matmul(a[..., :step], b[:step], out=out)
+    for lo in range(step, a.shape[-1], step):
+        out += a[..., lo:lo + step] @ b[lo:lo + step]
+    return out
+
+
 def _as_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -85,6 +114,14 @@ def _as_matrix(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
+
+
+def _combine_rows(coef: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """``out = coef @ rows`` in column blocks of ``_SERIAL_DOT_LEN``: GEMMs
+    that small run on one BLAS thread."""
+    for lo in range(0, rows.shape[1], _SERIAL_DOT_LEN):
+        hi = lo + _SERIAL_DOT_LEN
+        np.matmul(coef, rows[:, lo:hi], out=out[:, lo:hi])
 
 
 def _top_gram_eigenvalue(
@@ -101,69 +138,69 @@ def _top_gram_eigenvalue(
     3-dim subspace restores fast convergence at the same one-apply-per-step
     cost.  Stops when ``||G x - rho x|| <= rel_tol * rho``, which certifies
     an eigenvalue within ``rel_tol * rho`` of the estimate.  Every estimate
-    is a Rayleigh quotient, hence a lower bound in exact arithmetic.  Dots
-    and norms go through :func:`vector_dot`, so the estimate is the same at
-    every BLAS thread count.
+    is a Rayleigh quotient, hence a lower bound in exact arithmetic.
+
+    The basis ``[x, r, p]`` and its images under G sit in one (3, 2, n)
+    array allocated once and updated in place.  Orthogonalizing ``p``, the
+    3x3 projection and the Ritz combinations are one small GEMM each per
+    block of ``_SERIAL_DOT_LEN`` entries, which OpenBLAS runs on one thread,
+    and dots and norms go through :func:`vector_dot`, so the estimate is the
+    same at every BLAS thread count.
     """
+    n = math.prod(in_shape)
+    rows = np.empty((3, 2, n))  # (x, gx), (r, gr), (p, gp): a basis vector, its image
+    flat = rows.reshape(6, n)
+    (x, gx), (r, gr), (p, gp) = rows
+    new = np.empty((2, 2, n))  # the next (x, gx) and (p, gp), before normalizing
     for _ in range(8):
-        x = rng.standard_normal(in_shape)
+        x[:] = rng.standard_normal(in_shape).ravel()
         x /= vector_norm(x)
-        gx = np.asarray(gmul(x), dtype=np.float64)
+        gx[:] = np.ravel(gmul(x.reshape(in_shape)))
         rho = vector_dot(x, gx)
         if rho > 0.0:
             break
     else:
         # Eight unit Gaussians in the null space: the map is zero in practice.
         return 0.0
-    p = None  # previous search direction, with its image under G
-    gp = None
+    k = 2  # basis vectors in use; p joins after the first step
     for _ in range(settings.max_iters):
-        r = gx - rho * x
+        np.multiply(x, rho, out=r)
+        np.subtract(gx, r, out=r)
         if vector_norm(r) <= settings.rel_tol * rho:
             break
         # Orthonormalize [x, r, p]; images follow the same combinations.
-        cx = vector_dot(x, r)
-        r = r - cx * x
+        r -= vector_dot(x, r) * x
         rn = vector_norm(r)
         if rn <= 1e-300:
             break
         r /= rn
-        gr = np.asarray(gmul(r), dtype=np.float64)
-        basis = [x, r]
-        images = [gx, gr]
-        if p is not None:
-            q = p - vector_dot(x, p) * x
-            gq = gp - vector_dot(x, p) * gx
-            q2 = q - vector_dot(r, q) * r
-            gq2 = gq - vector_dot(r, q) * gr
-            qn = vector_norm(q2)
+        gr[:] = np.ravel(gmul(r.reshape(in_shape)))
+        if k == 3:
+            # p - a x - b r and its image: p minus its parts along x and r.
+            a, b = vector_dot(x, p), vector_dot(r, p)
+            _combine_rows(np.array([[-a, 0.0, -b, 0.0, 1.0, 0.0],
+                                    [0.0, -a, 0.0, -b, 0.0, 1.0]]), flat, new[0])
+            qn = vector_norm(new[0, 0])
             if qn > 1e-12:
-                basis.append(q2 / qn)
-                images.append(gq2 / qn)
-        k = len(basis)
-        h = np.empty((k, k))
-        for i in range(k):
-            for j in range(k):
-                h[i, j] = vector_dot(basis[i], images[j])
-        h = 0.5 * (h + h.T)
-        evals, evecs = np.linalg.eigh(h)
+                np.divide(new[0], qn, out=rows[2])
+            else:
+                k = 2
+        h = sum(rows[:k, 0, lo:lo + _SERIAL_DOT_LEN] @ rows[:k, 1, lo:lo + _SERIAL_DOT_LEN].T
+                for lo in range(0, n, _SERIAL_DOT_LEN))
+        evals, evecs = np.linalg.eigh(0.5 * (h + h.T))
         y = evecs[:, -1]
         rho = float(evals[-1])
-        x_new = sum(y[i] * basis[i] for i in range(k))
-        gx_new = sum(y[i] * images[i] for i in range(k))
-        # Momentum: the part of the step orthogonal to the old iterate.
-        p = sum(y[i] * basis[i] for i in range(1, k))
-        gp = sum(y[i] * images[i] for i in range(1, k))
-        pn = vector_norm(p)
-        if pn > 1e-12:
-            p /= pn
-            gp /= pn
-        else:
-            p = None
-            gp = None
-        xn = vector_norm(x_new)
-        x = x_new / xn
-        gx = gx_new / xn
+        # The new iterate, and the momentum: the part of the step orthogonal
+        # to the old iterate.  Both are normalized into rows x and p.
+        coef = np.zeros((4, 2 * k))
+        coef[0, 0::2] = coef[1, 1::2] = y
+        coef[2, 2::2] = coef[3, 3::2] = y[1:]
+        _combine_rows(coef, flat[:2 * k], new.reshape(4, n))
+        np.divide(new[0], vector_norm(new[0, 0]), out=rows[0])
+        pn = vector_norm(new[1, 0])
+        k = 3 if pn > 1e-12 else 2
+        if k == 3:
+            np.divide(new[1], pn, out=rows[2])
     return max(rho, 0.0)
 
 
@@ -185,7 +222,8 @@ def spectral_norm_dense(m: np.ndarray, settings: PowerIterSettings = PowerIterSe
         return float(gram_spectral_norms(m[None])[0])
 
     rng = make_rng(settings.seed, 0x5BEC)
-    rho = _top_gram_eigenvalue(lambda v: m.T @ (m @ v), (m.shape[1],), rng, settings)
+    rho = _top_gram_eigenvalue(lambda v: stable_matmul(m.T, stable_matmul(m, v)),
+                               (m.shape[1],), rng, settings)
     return math.sqrt(rho)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import (PowerIterSettings, make_rng, spectral_norm_dense, spectral_norm_operator,
-                     vector_norm)
+                     stable_matmul, vector_norm)
 
 CHECKPOINT_FORMAT = "liptrack-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -210,22 +210,29 @@ def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
     ``x``: (n, c_in, h, w); ``kernel``: (c_out, c_in, 3, 3).  Each image is
     one GEMM of the kernel matrix with its patch matrix, so a sample's
-    result does not depend on the batch it sits in.
+    result does not depend on the batch it sits in (and, through
+    :func:`stable_matmul`, not on the BLAS thread count).
     """
     n, _, h, w = x.shape
     c_out = kernel.shape[0]
     kmat = kernel.reshape(c_out, -1)
     out = np.empty((n, c_out, h, w))
     for b in range(n):
-        np.matmul(kmat, _patches(x[b]), out=out[b].reshape(c_out, h * w))
+        stable_matmul(kmat, _patches(x[b]), out=out[b].reshape(c_out, h * w))
     return out
+
+
+def _adjoint_kernel(kernel: np.ndarray) -> np.ndarray:
+    """The kernel whose convolution is the transpose of ``kernel``'s: flipped
+    in space, channels swapped."""
+    return kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
 
 def conv2d_adjoint(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Exact transpose of :func:`conv2d` as a linear map in ``x``: the
     convolution of ``g`` with the kernel flipped in space and transposed in
     channels."""
-    return conv2d(g, kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return conv2d(g, _adjoint_kernel(kernel))
 
 
 def conv2d_kernel_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -265,20 +272,49 @@ def maxpool_backward(g: np.ndarray, idx, p: int) -> np.ndarray:
     return xr.reshape(n, c, ho * p, wo * p)
 
 
+def _image_conv(kernel: np.ndarray, h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
+    """:func:`conv2d` of one (c_in, h, w) image, for calling many times.
+
+    Keeps a zero-padded image whose border stays zero, a 3x3 window view
+    of it and a patch matrix across calls: each call copies the image into
+    the padding and the windows into the patch matrix, then makes the same
+    GEMM as :func:`conv2d`, so it returns the same bits.  The result is a
+    new array; nothing of one call shows in the next.
+    """
+    c_out, c_in = kernel.shape[:2]
+    kmat = kernel.reshape(c_out, -1)
+    padded = np.zeros((c_in, h + 2, w + 2))
+    interior = padded[:, 1:-1, 1:-1]
+    sc, sh, sw = padded.strides  # windows[c, di, dj, i, j] = padded[c, i + di, j + dj]
+    windows = np.lib.stride_tricks.as_strided(padded, (c_in, 3, 3, h, w), (sc, sh, sw, sh, sw),
+                                              writeable=False)
+    cols = np.empty((c_in, 3, 3, h, w))
+    patch_matrix = cols.reshape(c_in * 9, h * w)
+
+    def apply(img: np.ndarray) -> np.ndarray:
+        interior[...] = img
+        np.copyto(cols, windows)
+        return stable_matmul(kmat, patch_matrix).reshape(c_out, h, w)
+
+    return apply
+
+
 def conv_spectral_norm(kernel: np.ndarray, in_hw: tuple[int, int],
                        settings: PowerIterSettings = PowerIterSettings()) -> float:
     """Operator 2-norm of a padded 3x3 conv layer at a given spatial size.
 
     Runs power iteration on the implicit map instead of materializing
-    the block-Toeplitz matrix of the convolution; each step applies
-    :func:`conv2d` and :func:`conv2d_adjoint`, one GEMM each.
+    the block-Toeplitz matrix of the convolution.  The forward and adjoint
+    single-image applies are built once per call (:func:`_image_conv`) and
+    reuse their padded image, window view and patch matrix at every step;
+    each is one GEMM, equal bit for bit to :func:`conv2d` and
+    :func:`conv2d_adjoint` on that image.
     """
     c_out, c_in = kernel.shape[0], kernel.shape[1]
     h, w = in_hw
-    return spectral_norm_operator(
-        lambda v: conv2d(v[None], kernel)[0],
-        lambda u: conv2d_adjoint(u[None], kernel)[0],
-        (c_in, h, w), (c_out, h, w), settings)
+    return spectral_norm_operator(_image_conv(kernel, h, w),
+                                  _image_conv(_adjoint_kernel(kernel), h, w),
+                                  (c_in, h, w), (c_out, h, w), settings)
 
 
 class CnnNet:

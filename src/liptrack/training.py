@@ -178,6 +178,11 @@ def updates_per_epoch(n: int, batch_size: int) -> int:
     return -(-int(n) // int(batch_size))
 
 
+def check_batch_size(batch_size: int, n: int) -> None:
+    if not 1 <= batch_size <= n:
+        raise ValueError(f"batch_size {batch_size} not in [1, {n}]")
+
+
 @dataclass(frozen=True)
 class LrSchedule:
     """A named LR-coefficient curve, stepped once per update.
@@ -319,8 +324,7 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     x, y = dataset.train_x, dataset.train_y
     n = x.shape[0]
-    if not 1 <= batch_size <= n:
-        raise ValueError(f"batch_size {batch_size} not in [1, {n}]")
+    check_batch_size(batch_size, n)
     schedule = LrSchedule(schedule_variant, updates_per_epoch(n, batch_size))
     rng = make_rng(seed, _SHUFFLE_STREAM)
     theta0 = net.param_vector()

@@ -136,6 +136,11 @@ def test_config_error_paths_exit_one(tmp_path, capsys):
         assert not out.exists()
     assert run_main(["train", "--config", cfg_path, "--set", "batch_size=1000",
                      "--out", out]) == 2  # validated at runtime, not parse time
+    assert not out.exists()
+    assert run_main(["biasvar", "--config", cfg_path, "--set", "batch_size=1000",
+                     "--out", out]) == 2
+    assert "batch_size 1000 not in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand", ["train", "biasvar"])

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptrack.linalg import PowerIterSettings, make_rng, materialize_operator, svd_oracle
+from liptrack import models
+from liptrack.linalg import (PowerIterSettings, make_rng, materialize_operator,
+                             spectral_norm_operator, svd_oracle)
 from liptrack.models import (
     CnnNet,
     FFReluNet,
@@ -387,6 +389,11 @@ def test_conv_kernels_identical_across_blas_thread_counts():
         "print(repr(spectral_norm_dense(rng.standard_normal((cap, cap)))),\n"
         "      repr(spectral_norm_dense(rng.standard_normal((20000, 40)))),\n"
         "      batch_spectral_norms(rng.standard_normal((3, cap, cap + 7))).tolist())\n"
+        # Power iteration on a dense matrix above the cap, and on a conv whose
+        # adjoint GEMM sums 432 terms over 32768 entries: plain BLAS products
+        # changed the last bit of both between 1 and 2 threads.
+        "print(repr(spectral_norm_dense(rng.standard_normal((2048, 300)))),\n"
+        "      repr(conv_spectral_norm(rng.standard_normal((48, 32, 3, 3)), (32, 32))))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = {}
@@ -450,6 +457,59 @@ def test_conv_spectral_norm_matches_materialized_svd():
         got = conv_spectral_norm(k, (hw, hw), TIGHT)
         mat = materialize_operator(lambda v: conv2d(v[None], k)[0], (c_in, hw, hw))
         assert got == pytest.approx(svd_oracle(mat), rel=1e-8)
+
+
+@pytest.mark.parametrize("c_out, c_in, h, w",
+                         [(2, 3, 1, 1), (3, 2, 3, 5), (4, 1, 4, 3), (1, 5, 5, 4)],
+                         ids=["1x1", "3x5", "c_in=1", "c_out=1"])
+def test_conv_spectral_norm_small_grids_match_oracle(c_out, c_in, h, w):
+    k = make_rng(c_out * 10 + c_in, h * 10 + w).standard_normal((c_out, c_in, 3, 3))
+    mat = materialize_operator(lambda v: conv2d(v[None], k)[0], (c_in, h, w))
+    assert conv_spectral_norm(k, (h, w), TIGHT) == pytest.approx(svd_oracle(mat), rel=1e-9)
+
+
+def test_conv_spectral_norm_of_zero_kernel_is_zero():
+    assert conv_spectral_norm(np.zeros((3, 2, 3, 3)), (4, 4)) == 0.0
+
+
+def test_conv_spectral_norm_converges_on_tied_top_pair(monkeypatch):
+    # The same 1-channel kernel on two channel blocks: every singular value of
+    # the conv, the top one included, comes twice.
+    block = make_rng(5, 10).standard_normal((1, 1, 3, 3))
+    k = np.zeros((2, 2, 3, 3))
+    k[0, 0] = k[1, 1] = block[0, 0]
+    applies = []
+
+    def counting(apply, *args):
+        def counted(v):
+            applies.append(1)
+            return apply(v)
+        return spectral_norm_operator(counted, *args)
+
+    monkeypatch.setattr(models, "spectral_norm_operator", counting)
+    got = conv_spectral_norm(k, (6, 6), TIGHT)
+    single = svd_oracle(materialize_operator(lambda v: conv2d(v[None], block)[0], (1, 6, 6)))
+    assert got == pytest.approx(single, rel=1e-9)
+    # The stop rule, not the step cap, ended the iteration (3 applies are the
+    # adjoint spot checks, one starts the iteration).
+    assert len(applies) < 3 + 1 + TIGHT.max_iters
+
+
+def test_image_conv_matches_conv2d_bit_for_bit_and_keeps_no_state():
+    rng = make_rng(6, 10)
+    for c_out, c_in, hw in [(5, 3, 8), (2, 48, 6), (48, 4, 4)]:
+        k = rng.standard_normal((c_out, c_in, 3, 3))
+        forward, adjoint = models._image_conv(k, hw, hw), models._image_conv(
+            models._adjoint_kernel(k), hw, hw)
+        for _ in range(2):  # the second call runs on reused buffers
+            x = rng.standard_normal((c_in, hw, hw))
+            g = rng.standard_normal((c_out, hw, hw))
+            got_x, got_g = forward(x), adjoint(g)
+            assert np.array_equal(got_x, conv2d(x[None], k)[0])
+            assert np.array_equal(got_g, conv2d_adjoint(g[None], k)[0])
+        # The same input gives the same bits on reused and on fresh buffers.
+        assert np.array_equal(got_x, models._image_conv(k, hw, hw)(x))
+        assert np.array_equal(forward(x), got_x)
 
 
 # ---------------------------------------------------------------------------
