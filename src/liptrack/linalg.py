@@ -5,12 +5,14 @@ and implicit operators (the convs) get power iteration.
 A power-iteration step costs one apply of the Gram map plus a fixed amount
 of bookkeeping, so the bookkeeping is kept small: the Rayleigh-Ritz basis
 ``[x, r, p]`` and its images live in one stacked array allocated once per
-solve, and the 3x3 projection and the Ritz combinations are one small GEMM
-each rather than a loop of dots.  The conv applies
+solve, and the 3x3 projection and the Ritz combinations are a few small
+GEMMs rather than a loop of dots.  The conv applies
 (``models.conv_spectral_norm``) likewise keep their padded image, window
 view and patch matrix across steps.  Long sums are blocked (``vector_dot``,
-``stable_matmul``) so that every norm is the same at every BLAS thread
-count.
+``stable_matmul``) so that the norms liptrack takes (dense matrices, and
+convs on the CNN's 32/16/8 grids) are the same at 1 and 2 OpenBLAS 0.3.x
+threads.  That was measured, not derived: some other shapes still differ
+(see the CHANGES.md FOUND note on uneven conv grids).
 
 All analysis quantities are 64-bit floats.  Matrices are plain 2-D
 ``numpy`` arrays (row-major), vectors 1-D arrays.  Randomness always
@@ -91,20 +93,32 @@ def vector_norm(v: np.ndarray) -> float:
 # Past this inner length OpenBLAS (0.3.x) may order a matrix product's sums
 # differently at 1 and 2 threads (seen from 400 on).  Up to it, the products
 # liptrack makes (the conv GEMMs on the CNN's 32/16/8 grids, dense matrix-
-# vector products) gave the same bits at both.
+# vector products) gave the same bits at both; other grids may not (CHANGES.md
+# FOUND note on uneven conv grids).
 _SERIAL_INNER_LEN = 384
 
+# OpenBLAS runs a GEMM on one thread when M*N*K <= 65536 * 4 (its
+# SMP_THRESHOLD_MIN times the default GEMM_MULTITHREAD_THRESHOLD).  The
+# power-iteration GEMMs below are at most 4*6 by 10000 columns: 240000.
+_SERIAL_GEMM_COLS = 10000
 
-def stable_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` summed over the inner dimension in blocks of
-    ``_SERIAL_INNER_LEN``, added in order, so that the inner length does not
-    make the result depend on the BLAS thread count; a shorter product is
-    one ``np.matmul``."""
-    step = _SERIAL_INNER_LEN
+
+def _inner_blocked_matmul(a: np.ndarray, b: np.ndarray, step: int,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` summed over the inner dimension in blocks of ``step``,
+    added in order; a product no longer than ``step`` is one ``np.matmul``."""
     out = np.matmul(a[..., :step], b[:step], out=out)
     for lo in range(step, a.shape[-1], step):
         out += a[..., lo:lo + step] @ b[lo:lo + step]
     return out
+
+
+def stable_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` with the inner sum blocked at ``_SERIAL_INNER_LEN``, so
+    that a long inner dimension does not make the result depend on the BLAS
+    thread count.  Measured thread-stable on the shapes liptrack uses: the
+    conv GEMMs on 32/16/8 grids and dense matrix-vector products."""
+    return _inner_blocked_matmul(a, b, _SERIAL_INNER_LEN, out)
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -117,10 +131,10 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def _combine_rows(coef: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """``out = coef @ rows`` in column blocks of ``_SERIAL_DOT_LEN``: GEMMs
-    that small run on one BLAS thread."""
-    for lo in range(0, rows.shape[1], _SERIAL_DOT_LEN):
-        hi = lo + _SERIAL_DOT_LEN
+    """``out = coef @ rows`` in column blocks of ``_SERIAL_GEMM_COLS``,
+    each small enough for OpenBLAS to run on one thread."""
+    for lo in range(0, rows.shape[1], _SERIAL_GEMM_COLS):
+        hi = lo + _SERIAL_GEMM_COLS
         np.matmul(coef, rows[:, lo:hi], out=out[:, lo:hi])
 
 
@@ -143,9 +157,9 @@ def _top_gram_eigenvalue(
     The basis ``[x, r, p]`` and its images under G sit in one (3, 2, n)
     array allocated once and updated in place.  Orthogonalizing ``p``, the
     3x3 projection and the Ritz combinations are one small GEMM each per
-    block of ``_SERIAL_DOT_LEN`` entries, which OpenBLAS runs on one thread,
-    and dots and norms go through :func:`vector_dot`, so the estimate is the
-    same at every BLAS thread count.
+    block of ``_SERIAL_GEMM_COLS`` entries, which OpenBLAS runs on one
+    thread, and dots and norms go through :func:`vector_dot`, so the
+    estimate does not depend on the BLAS thread count through them.
     """
     n = math.prod(in_shape)
     rows = np.empty((3, 2, n))  # (x, gx), (r, gr), (p, gp): a basis vector, its image
@@ -185,8 +199,7 @@ def _top_gram_eigenvalue(
                 np.divide(new[0], qn, out=rows[2])
             else:
                 k = 2
-        h = sum(rows[:k, 0, lo:lo + _SERIAL_DOT_LEN] @ rows[:k, 1, lo:lo + _SERIAL_DOT_LEN].T
-                for lo in range(0, n, _SERIAL_DOT_LEN))
+        h = _inner_blocked_matmul(rows[:k, 0], rows[:k, 1].T, _SERIAL_GEMM_COLS)
         evals, evecs = np.linalg.eigh(0.5 * (h + h.T))
         y = evecs[:, -1]
         rho = float(evals[-1])

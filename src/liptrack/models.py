@@ -191,18 +191,30 @@ def init_ff(input_dim: int, widths: Sequence[int], output_dim: int, seed: int) -
 # Conv net
 
 
-def _patches(img: np.ndarray) -> np.ndarray:
-    """im2col of one (c, h, w) image, zero-padded by 1: rows ordered
-    (channel, di, dj), one column per output pixel, so a (c_out, c·9)
-    kernel matrix times it is the 3x3 convolution."""
-    c, h, w = img.shape
+def _patch_builder(c: int, h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
+    """im2col of (c, h, w) images, zero-padded by 1, into one reused patch
+    matrix: rows ordered (channel, di, dj), one column per output pixel, so
+    a (c_out, c·9) kernel matrix times it is the 3x3 convolution.
+
+    Keeps a zero-padded image whose border stays zero, a 3x3 window view of
+    it and the patch matrix across calls.  Each call copies the image into
+    the padding and the windows into the patch matrix, and returns that
+    matrix, which the next call overwrites.
+    """
     padded = np.zeros((c, h + 2, w + 2))
-    padded[:, 1:-1, 1:-1] = img
+    interior = padded[:, 1:-1, 1:-1]
+    sc, sh, sw = padded.strides  # windows[c, di, dj, i, j] = padded[c, i + di, j + dj]
+    windows = np.lib.stride_tricks.as_strided(padded, (c, 3, 3, h, w), (sc, sh, sw, sh, sw),
+                                              writeable=False)
     cols = np.empty((c, 3, 3, h, w))
-    for di in range(3):
-        for dj in range(3):
-            cols[:, di, dj] = padded[:, di:di + h, dj:dj + w]
-    return cols.reshape(c * 9, h * w)
+    patch_matrix = cols.reshape(c * 9, h * w)
+
+    def build(img: np.ndarray) -> np.ndarray:
+        interior[...] = img
+        np.copyto(cols, windows)
+        return patch_matrix
+
+    return build
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -210,15 +222,15 @@ def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
     ``x``: (n, c_in, h, w); ``kernel``: (c_out, c_in, 3, 3).  Each image is
     one GEMM of the kernel matrix with its patch matrix, so a sample's
-    result does not depend on the batch it sits in (and, through
-    :func:`stable_matmul`, not on the BLAS thread count).
+    result does not depend on the batch it sits in.
     """
-    n, _, h, w = x.shape
+    n, c_in, h, w = x.shape
     c_out = kernel.shape[0]
     kmat = kernel.reshape(c_out, -1)
+    patches = _patch_builder(c_in, h, w)
     out = np.empty((n, c_out, h, w))
     for b in range(n):
-        stable_matmul(kmat, _patches(x[b]), out=out[b].reshape(c_out, h * w))
+        np.matmul(kmat, patches(x[b]), out=out[b].reshape(c_out, h * w))
     return out
 
 
@@ -238,11 +250,12 @@ def conv2d_adjoint(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def conv2d_kernel_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of ``<conv2d(x, k), g>`` in ``k``: per image, ``g`` times the
     transposed patch matrix, summed over the images in order."""
-    n, c_in = x.shape[:2]
+    n, c_in, h, w = x.shape
     c_out = g.shape[1]
+    patches = _patch_builder(c_in, h, w)
     dk = np.zeros((c_out, c_in * 9))
     for b in range(n):
-        dk += g[b].reshape(c_out, -1) @ _patches(x[b]).T
+        dk += g[b].reshape(c_out, -1) @ patches(x[b]).T
     return dk.reshape(c_out, c_in, 3, 3)
 
 
@@ -275,28 +288,19 @@ def maxpool_backward(g: np.ndarray, idx, p: int) -> np.ndarray:
 def _image_conv(kernel: np.ndarray, h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
     """:func:`conv2d` of one (c_in, h, w) image, for calling many times.
 
-    Keeps a zero-padded image whose border stays zero, a 3x3 window view
-    of it and a patch matrix across calls: each call copies the image into
-    the padding and the windows into the patch matrix, then makes the same
-    GEMM as :func:`conv2d`, so it returns the same bits.  The result is a
-    new array; nothing of one call shows in the next.
+    Builds its :func:`_patch_builder` once, so the padded image, window
+    view and patch matrix live across calls.  The GEMM is
+    :func:`stable_matmul`, so the conv norms do not depend on the BLAS
+    thread count through a long inner sum; up to ``c_in * 9 = 384`` that is
+    one ``np.matmul`` and the result has the same bits as :func:`conv2d`.
+    Training and Jacobians keep :func:`conv2d`'s plain GEMM, which is a
+    few percent faster at CNN widths of 16 and more.
+    The result is a new array; nothing of one call shows in the next.
     """
     c_out, c_in = kernel.shape[:2]
     kmat = kernel.reshape(c_out, -1)
-    padded = np.zeros((c_in, h + 2, w + 2))
-    interior = padded[:, 1:-1, 1:-1]
-    sc, sh, sw = padded.strides  # windows[c, di, dj, i, j] = padded[c, i + di, j + dj]
-    windows = np.lib.stride_tricks.as_strided(padded, (c_in, 3, 3, h, w), (sc, sh, sw, sh, sw),
-                                              writeable=False)
-    cols = np.empty((c_in, 3, 3, h, w))
-    patch_matrix = cols.reshape(c_in * 9, h * w)
-
-    def apply(img: np.ndarray) -> np.ndarray:
-        interior[...] = img
-        np.copyto(cols, windows)
-        return stable_matmul(kmat, patch_matrix).reshape(c_out, h, w)
-
-    return apply
+    patches = _patch_builder(c_in, h, w)
+    return lambda img: stable_matmul(kmat, patches(img)).reshape(c_out, h, w)
 
 
 def conv_spectral_norm(kernel: np.ndarray, in_hw: tuple[int, int],
@@ -306,9 +310,9 @@ def conv_spectral_norm(kernel: np.ndarray, in_hw: tuple[int, int],
     Runs power iteration on the implicit map instead of materializing
     the block-Toeplitz matrix of the convolution.  The forward and adjoint
     single-image applies are built once per call (:func:`_image_conv`) and
-    reuse their padded image, window view and patch matrix at every step;
-    each is one GEMM, equal bit for bit to :func:`conv2d` and
-    :func:`conv2d_adjoint` on that image.
+    reuse their padded image, window view and patch matrix at every step.
+    Each equals :func:`conv2d` or :func:`conv2d_adjoint` on that image bit
+    for bit while its input has at most 42 channels.
     """
     c_out, c_in = kernel.shape[0], kernel.shape[1]
     h, w = in_hw
