@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (EXACT_SIDE_CAP, PowerIterSettings, gram_spectral_norms, make_rng,
                      spectral_norm_dense)
+from .models import jacobian_stream
 
 _PROBE_STREAM = 0x9B0E
 
@@ -63,11 +64,13 @@ def _norm_stream(net, batches, softmax: bool = False) -> Iterator[np.ndarray]:
     """Per-sample Jacobian spectral norms, one array per batch.
 
     With ``softmax`` the Jacobians are those of softmax ∘ net: the softmax
-    Jacobian rows seed the net's reverse sweep.
+    Jacobian rows seed the net's Jacobian product.  One
+    :func:`~liptrack.models.jacobian_stream` serves all the batches, so a
+    depth-1 net builds its Jacobian workspace once.
     """
-    cotangents = _softmax_cotangents if softmax else None
+    jacobians = jacobian_stream(net, _softmax_cotangents if softmax else None)
     for x in batches:
-        yield batch_spectral_norms(net.input_jacobians(x, cotangents))
+        yield batch_spectral_norms(jacobians(x))
 
 
 def _sup(norm_batches: Iterator[np.ndarray]) -> float:

@@ -9,6 +9,7 @@ bit for bit.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,17 +106,22 @@ class DataPair:
 # Loaders
 
 
-def _read_mnist1d_csv(path: Path, expect_split_column: bool):
-    """Parse one CSV; returns rows grouped by split name.
+def _read_mnist1d_csv(path: Path, expect_split_column: bool) -> dict[str, tuple]:
+    """Parse one CSV; returns ``(labels, inputs)`` arrays by split name.
 
     Header must be exactly ``label,x0..x39`` (with a leading ``split``
-    column in single-file form).  Any malformed row fails with its row
-    number so bad exports are easy to locate.
+    column in single-file form).  The rows after it are parsed in one
+    vectorized pass.  When that pass cannot vouch for the file, the row
+    parser reads it again: it accepts what ``csv`` with ``int()`` labels
+    and ``float()`` features accepts (quoted fields, say), and any
+    malformed row fails with its row number so bad exports are easy to
+    locate.
     """
     feature_names = [f"x{i}" for i in range(MNIST1D_DIM)]
     expected_header = (["split"] if expect_split_column else []) + ["label"] + feature_names
-    rows: dict[str, list] = {"train": [], "test": [], "all": []}
-    with open(path, newline="") as fh:
+    # Universal newlines: the vectorized pass sees "\n" line ends only.  The
+    # row parser reopens the file the way ``csv`` wants it.
+    with open(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -123,20 +129,69 @@ def _read_mnist1d_csv(path: Path, expect_split_column: bool):
             raise ValueError(f"{path}: empty file") from None
         if header != expected_header:
             raise ValueError(f"{path}:1: bad header {header[:4]}..., expected {expected_header[:4]}...")
+        body = fh.read()
+    parsed = _parse_mnist1d_body(body, len(expected_header), expect_split_column)
+    if parsed is None:
+        parsed = _parse_mnist1d_rows(path, len(expected_header), expect_split_column)
+    return parsed
+
+
+def _grouped(splits, labels: np.ndarray, inputs: np.ndarray) -> dict[str, tuple]:
+    if splits is None:
+        return {"all": (labels, inputs)}
+    splits = np.asarray(splits)
+    return {s: (labels[splits == s], inputs[splits == s]) for s in ("train", "test")}
+
+
+def _parse_mnist1d_body(body: str, columns: int, expect_split_column: bool):
+    """The rows after the header in one pass: labels by ``int()``, every
+    feature by one ``np.fromstring``.  Returns None, for the row parser to
+    decide, on anything outside unquoted lines of ``columns`` fields with
+    no ASCII whitespace, known splits, ``int()`` labels and finite
+    features.  (``np.fromstring`` reads a whitespace-only field as -1.)"""
+    if body.endswith("\n"):
+        body = body[:-1]
+    lines = body.split("\n") if body else []
+    if (any(c in body for c in '" \t\v\f\r')
+            or any(line.count(",") != columns - 1 for line in lines)):
+        return None
+    fields = [line.split(",", 2 if expect_split_column else 1) for line in lines]
+    splits = [f[0] for f in fields] if expect_split_column else None
+    if splits is not None and not set(splits) <= {"train", "test"}:
+        return None
+    try:
+        labels = [int(f[-2]) for f in fields]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inputs = np.fromstring(",".join(f[-1] for f in fields), sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if inputs.size != len(lines) * MNIST1D_DIM or not np.isfinite(inputs).all():
+        return None
+    return _grouped(splits, np.array(labels, dtype=np.int64), inputs.reshape(-1, MNIST1D_DIM))
+
+
+def _parse_mnist1d_rows(path: Path, columns: int, expect_split_column: bool) -> dict[str, tuple]:
+    """Row by row with ``csv``, ``int()`` and ``float()``; the first bad
+    row fails with its row number."""
+    splits, labels, feats = [], [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
-                raise ValueError(f"{path}:{rownum}: {len(row)} columns, expected {len(expected_header)}")
-            split = row[0] if expect_split_column else None
-            if expect_split_column and split not in ("train", "test"):
-                raise ValueError(f"{path}:{rownum}: unknown split {split!r}")
+            if len(row) != columns:
+                raise ValueError(f"{path}:{rownum}: {len(row)} columns, expected {columns}")
+            if expect_split_column and row[0] not in ("train", "test"):
+                raise ValueError(f"{path}:{rownum}: unknown split {row[0]!r}")
             body = row[1:] if expect_split_column else row
             try:
-                label = int(body[0])
-                feats = [float(v) for v in body[1:]]
+                labels.append(int(body[0]))
+                feats.append([float(v) for v in body[1:]])
             except ValueError:
                 raise ValueError(f"{path}:{rownum}: non-numeric value") from None
-            rows[split or "all"].append((label, feats))
-    return rows
+            splits.append(row[0])
+    return _grouped(splits if expect_split_column else None, np.array(labels, dtype=np.int64),
+                    np.array(feats, dtype=np.float64).reshape(-1, MNIST1D_DIM))
 
 
 def load_mnist1d(path) -> tuple[Dataset, Dataset]:
@@ -156,16 +211,13 @@ def load_mnist1d(path) -> tuple[Dataset, Dataset]:
                 raise FileNotFoundError(f"{f}: missing split file")
             parts[split] = _read_mnist1d_csv(f, expect_split_column=False)["all"]
     else:
-        grouped = _read_mnist1d_csv(path, expect_split_column=True)
-        parts = {"train": grouped["train"], "test": grouped["test"]}
+        parts = _read_mnist1d_csv(path, expect_split_column=True)
     expected = {"train": MNIST1D_TRAIN_N, "test": MNIST1D_TEST_N}
     out = []
     for split in ("train", "test"):
-        got = parts[split]
-        if len(got) != expected[split]:
-            raise ValueError(f"{path}: {len(got)} {split} rows, expected {expected[split]}")
-        labels = np.array([r[0] for r in got], dtype=np.int64)
-        inputs = np.array([r[1] for r in got], dtype=np.float64)
+        labels, inputs = parts[split]
+        if len(labels) != expected[split]:
+            raise ValueError(f"{path}: {len(labels)} {split} rows, expected {expected[split]}")
         out.append(Dataset(inputs, labels, split, "mnist1d"))
     return out[0], out[1]
 

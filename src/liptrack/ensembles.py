@@ -19,6 +19,7 @@ import numpy as np
 from .bounds import batch_spectral_norms, lower_bound, upper_bound  # noqa: F401
 from .harness import ExperimentConfig, cell_net, train_cell
 from .linalg import PowerIterSettings
+from .models import jacobian_stream
 from .training import DivergenceError, one_hot
 
 BIASVAR_CSV_COLUMNS = ["width", "bias_sq", "variance", "test_loss", "r_sq",
@@ -87,21 +88,27 @@ def ensemble_lipschitz_lower(e: SeedEnsemble, samples: np.ndarray, chunk: int = 
     member Jacobians) before the sup; ``c_bar_zeta_hat`` averages each
     member's own sup, the member's ``lower_bound`` over the same chunks.
     Jensen puts the first below the second.  Each member's Jacobians are
-    built once per chunk and feed both estimates.
+    built once per chunk and feed both estimates.  Each member keeps one
+    Jacobian stream (:func:`~liptrack.models.jacobian_stream`) over all the
+    chunks; since a stream's result is overwritten by its next call, the
+    mean is summed in its own array, members in order.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
         raise ValueError("ensemble_lipschitz_lower needs at least one sample")
     best = 0.0
     per_seed = [0.0] * e.size
+    streams = [jacobian_stream(m) for m in e.members]
+    net = e.members[0]
+    total = np.empty((min(chunk, samples.shape[0]), net.output_dim, net.input_dim))
     for lo in range(0, samples.shape[0], chunk):
         xb = samples[lo:lo + chunk]
-        mean_jac = None
-        for i, m in enumerate(e.members):
-            jac = m.input_jacobians(xb)
+        mean_jac = total[:xb.shape[0]]
+        for i, jacobians in enumerate(streams):
+            jac = jacobians(xb)
             per_seed[i] = max(per_seed[i], float(batch_spectral_norms(jac).max()))
-            if mean_jac is None:
-                mean_jac = jac
+            if i == 0:
+                mean_jac[...] = jac
             else:
                 mean_jac += jac
         mean_jac /= e.size

@@ -4,6 +4,16 @@ Both families expose the same small surface: ``forward``, cached
 forward/backward for training, per-sample input Jacobians, per-layer
 spectral norms, and a flat parameter vector.  Weights are 64-bit
 throughout so analysis quantities cross-check against exact oracles.
+
+Input Jacobians of a depth-1 FF net, ``J_i = D2_i W2 D1_i W1`` with sample
+i's 0/1 ReLU masks on the diagonals, are one GEMM per chunk: the (n, width)
+hidden masks times the (width, out·in) matrix ``W2[k, j] · W1[j, l]``, then
+the output masks; no (n, out, width) tensor is built.  That matrix and the
+chunk's row buffers live in a :class:`Depth1Workspace`.  A stream of chunks
+over one net with fixed weights (:func:`jacobian_stream`, used by the
+bounds and ensembles) builds one and reuses it, so each result is valid
+only until the stream's next call.  Deeper FF nets sweep the output rows
+back layer by layer; the conv net runs one backward sweep per output row.
 """
 
 from __future__ import annotations
@@ -113,21 +123,38 @@ class FFReluNet:
         return g
 
     def input_jacobians(self, x: np.ndarray,
-                        cotangents: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+                        cotangents: Callable[[np.ndarray], np.ndarray] | None = None,
+                        workspace: "Depth1Workspace | None" = None) -> np.ndarray:
         """Per-sample Jacobians d(output)/d(input), shape ``(n, out, in)``.
 
-        Reverse mode: one forward pass records the ReLU masks, then the
-        output rows of all ``n`` samples are swept back together, one
-        ``(n·out, width) @ W`` product per layer.  ``cotangents``, when
-        given, maps the ``(n, out)`` outputs to ``(n, m, out)`` seed rows
-        and the result is their product with the Jacobian, ``(n, m, in)``;
-        this composes an output map such as softmax without a separate
-        per-sample matrix product.
+        ``cotangents``, when given, maps the ``(n, out)`` outputs to
+        ``(n, m, out)`` seed rows and the result is their product with the
+        Jacobian, ``(n, m, in)``; this composes an output map such as
+        softmax without a separate per-sample matrix product.
+
+        Depth 1 (two weight matrices): ``J_i = D2_i W2 D1_i W1`` with the
+        samples' 0/1 ReLU masks on the diagonals, so row k of ``J_i`` is
+        ``m2_ik · Σ_j m1_ij · W2[k, j] W1[j, :]``.  All ``n`` Jacobians are
+        one ``(n, width) @ (width, out·in)`` GEMM of the hidden masks with
+        the outer-product matrix of :class:`Depth1Workspace`, times the
+        output masks; seed rows multiply that stack as one batched product.
+        A ``workspace`` built once for a stream of chunks keeps that matrix
+        and the row buffers across calls; the result is then a view into the
+        workspace, valid until its next call.  Without one, a fresh
+        workspace serves this call alone.
+
+        Deeper nets use reverse mode: one forward pass records the ReLU
+        masks, then the output rows of all ``n`` samples are swept back
+        together, one ``(n·out, width) @ W`` product per layer.
 
         ReLU units exactly at zero count as inactive, so the Jacobian at
         the origin is the zero matrix.
         """
         a = self._check_input(np.atleast_2d(x))
+        if len(self.weights) == 2:
+            if workspace is None:
+                workspace = Depth1Workspace(self)
+            return self._depth1_jacobians(a, cotangents, workspace)
         masks = []
         for w in self.weights:
             z = a @ w.T
@@ -144,6 +171,26 @@ class FFReluNet:
             g *= m[:, None, :]
             g = (g.reshape(-1, w.shape[0]) @ w).reshape(n, -1, w.shape[1])
         return g
+
+    def _depth1_jacobians(self, x: np.ndarray, cotangents, ws: "Depth1Workspace") -> np.ndarray:
+        w1, w2 = self.weights
+        n = x.shape[0]
+        out_dim = w2.shape[0]
+        # One row buffer holds the pre-activations, then the hidden
+        # activations, then the 0/1 hidden mask (a unit is active exactly
+        # where its activation is positive).
+        hidden = np.matmul(x, w1.T, out=ws.rows("hidden", n, w1.shape[0]))
+        np.maximum(hidden, 0.0, out=hidden)
+        out = _relu(hidden @ w2.T)
+        np.greater(hidden, 0.0, out=hidden)
+        jac = np.matmul(hidden, ws.outer, out=ws.rows("jac", n, ws.outer.shape[1]))
+        jac = jac.reshape(n, out_dim, self.input_dim)
+        active = out > 0
+        if cotangents is None:
+            jac *= active[:, :, None]
+            return jac
+        seeds = cotangents(out) * active[:, None, :]
+        return np.matmul(seeds, jac, out=ws.rows("seeded", n, seeds.shape[1], self.input_dim))
 
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -167,6 +214,41 @@ class FFReluNet:
         for w in self.weights:
             w[...] = theta[ofs:ofs + w.size].reshape(w.shape)
             ofs += w.size
+
+
+class Depth1Workspace:
+    """What a depth-1 :meth:`FFReluNet.input_jacobians` keeps across the
+    chunks of one stream, for a net whose weights stay fixed meanwhile.
+
+    ``outer`` is the (width, out·in) matrix ``outer[j, k·in + l] =
+    W2[k, j] · W1[j, l]``, built once.  The row buffers grow to the largest
+    chunk seen and are reused, so a stream of chunks allocates no
+    chunk-sized temporaries (each one would make glibc trim and re-grow
+    its heap).
+    """
+
+    def __init__(self, net: FFReluNet):
+        w1, w2 = net.weights
+        self.outer = (w2.T[:, :, None] * w1[:, None, :]).reshape(w1.shape[0], -1)
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def rows(self, name: str, n: int, *shape: int) -> np.ndarray:
+        """The first ``n`` rows of the reused buffer ``name``, of row shape ``shape``."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[0] < n or buf.shape[1:] != shape:
+            buf = self._buffers[name] = np.empty((n, *shape))
+        return buf[:n]
+
+
+def jacobian_stream(net, cotangents: Callable[[np.ndarray], np.ndarray] | None = None
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """``x -> net.input_jacobians(x, cotangents)`` for the chunks of one
+    stream.  A depth-1 FF net's calls share one :class:`Depth1Workspace`,
+    so each result is overwritten by the next call."""
+    if isinstance(net, FFReluNet) and len(net.weights) == 2:
+        workspace = Depth1Workspace(net)
+        return lambda x: net.input_jacobians(x, cotangents, workspace=workspace)
+    return lambda x: net.input_jacobians(x, cotangents)
 
 
 def init_ff(input_dim: int, widths: Sequence[int], output_dim: int, seed: int) -> FFReluNet:

@@ -187,10 +187,10 @@ def test_replay_mutations_reproduces_chain():
 # MNIST1D CSV contract
 
 
-def write_mnist1d_rows(path, rows, with_split):
+def write_mnist1d_rows(path, rows, with_split, quoting=csv.QUOTE_MINIMAL):
     header = (["split"] if with_split else []) + ["label"] + [f"x{i}" for i in range(40)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, quoting=quoting)
         w.writerow(header)
         for row in rows:
             w.writerow(row)
@@ -269,6 +269,36 @@ def test_load_mnist1d_error_reporting(tmp_path):
     write_mnist1d_rows(f, rows, with_split=True)
     with pytest.raises(ValueError, match="5 train rows, expected 4000"):
         load_mnist1d(f)
+
+
+def test_load_mnist1d_labels_accept_what_int_accepts(tmp_path):
+    # Full-size files, so only the one label decides whether they load.
+    f = tmp_path / "bad.csv"
+    rows = make_rows(4000, "train", seed=0) + make_rows(1000, "test", seed=1)
+    rows[7][1] = " +3 "
+    write_mnist1d_rows(f, rows, with_split=True)
+    assert load_mnist1d(f)[0].labels[7] == 3
+    rows[7][1] = "3.0"
+    write_mnist1d_rows(f, rows, with_split=True)
+    with pytest.raises(ValueError, match=r"bad\.csv:9: non-numeric"):
+        load_mnist1d(f)
+
+
+def test_load_mnist1d_quoted_fields_load_the_same_arrays(tmp_path):
+    train_rows = make_rows(4000, None, seed=0)
+    test_rows = make_rows(1000, None, seed=1)
+    loaded = []
+    for name, quoting in (("plain", csv.QUOTE_MINIMAL), ("quoted", csv.QUOTE_ALL)):
+        d = tmp_path / name
+        d.mkdir()
+        write_mnist1d_rows(d / "train.csv", train_rows, with_split=False, quoting=quoting)
+        write_mnist1d_rows(d / "test.csv", test_rows, with_split=False, quoting=quoting)
+        loaded.append(load_mnist1d(d))
+    assert '"' in (tmp_path / "quoted" / "train.csv").read_text()
+    for plain, quoted in zip(*loaded):
+        assert np.array_equal(plain.inputs, quoted.inputs)
+        assert np.array_equal(plain.labels, quoted.labels)
+    assert loaded[1][0].inputs[17, 3] == float(train_rows[17][4])
 
 
 def test_load_mnist1d_missing_split_file(tmp_path):

@@ -139,17 +139,22 @@ def test_ensemble_lipschitz_lower_jensen_inequality():
 def test_ensemble_lipschitz_lower_matches_separate_passes():
     # One Jacobian pass per member and chunk feeds both estimates; the
     # values equal the mean-Jacobian sup and the mean of each member's own
-    # lower_bound over the same chunks, bit for bit.
-    e = random_ensemble(n_members=3, d=8, width=12, k=4, base_seed=21)
-    x = make_rng(3, 40).standard_normal((23, 8))
-    for chunk in (256, 5):
-        best = 0.0
-        for lo in range(0, len(x), chunk):
-            xb = x[lo:lo + chunk]
-            mean_jac = sum(m.input_jacobians(xb) for m in e.members) / e.size
-            best = max(best, float(batch_spectral_norms(mean_jac).max()))
-        per_seed = [lower_bound(m, x, chunk)[0] for m in e.members]
-        assert ensemble_lipschitz_lower(e, x, chunk) == (best, float(np.mean(per_seed)))
+    # lower_bound over the same chunks, bit for bit.  The members are
+    # depth 1, so each reuses one Jacobian workspace over the chunks and
+    # the mean must not alias a member's result.
+    cases = [(random_ensemble(n_members=3, d=8, width=12, k=4, base_seed=21),
+              make_rng(3, 40).standard_normal((23, 8)), (256, 5)),
+             (random_ensemble(n_members=3, d=40, width=64, k=10, base_seed=41),
+              make_rng(4, 40).standard_normal((300, 40)), (128,))]
+    for e, x, chunks in cases:
+        for chunk in chunks:
+            best = 0.0
+            for lo in range(0, len(x), chunk):
+                xb = x[lo:lo + chunk]
+                mean_jac = sum(m.input_jacobians(xb) for m in e.members) / e.size
+                best = max(best, float(batch_spectral_norms(mean_jac).max()))
+            per_seed = [lower_bound(m, x, chunk)[0] for m in e.members]
+            assert ensemble_lipschitz_lower(e, x, chunk) == (best, float(np.mean(per_seed)))
 
 
 def test_variance_at_and_mean_sq_dist_oracles():

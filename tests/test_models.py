@@ -117,12 +117,13 @@ def test_ff_jacobian_zero_at_origin():
 
 
 def test_ff_batched_jacobians_match_single_sample():
-    net = init_ff(6, [9, 8], 3, seed=9)
-    xs = make_rng(2, 3).standard_normal((11, 6))
-    batch = net.input_jacobians(xs)
-    assert batch.shape == (11, 3, 6)
-    singles = np.stack([net.input_jacobian(x) for x in xs])
-    np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=0)
+    for widths in ([9, 8], [9]):
+        net = init_ff(6, widths, 3, seed=9)
+        xs = make_rng(2, 3).standard_normal((11, 6))
+        batch = net.input_jacobians(xs)
+        assert batch.shape == (11, 3, 6)
+        singles = np.stack([net.input_jacobian(x) for x in xs])
+        np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=0)
 
 
 def forward_mode_jacobians(net, xs):
@@ -140,35 +141,87 @@ def forward_mode_jacobians(net, xs):
 
 
 def test_ff_reverse_jacobians_match_forward_mode_product():
-    net = init_ff(7, [9, 8, 6], 4, seed=31)
-    # Output 0 sees only nonnegative inputs through negative weights, so its
-    # mask is zero on every sample; the origin zeroes every mask at once.
-    net.weights[-1][0] = -np.abs(net.weights[-1][0])
-    xs = make_rng(31, 3).standard_normal((17, 7))
-    xs[4] = 0.0
-    got = net.input_jacobians(xs)
-    want = forward_mode_jacobians(net, xs)
-    assert got.shape == (17, 4, 7)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
-    assert np.array_equal(got[:, 0, :], np.zeros((17, 7)))
-    assert np.array_equal(got[4], np.zeros((4, 7)))
-    assert np.any(got[:, 1:, :] != 0.0)
+    # Depth 3 takes the reverse sweep, depth 1 the mask GEMM.
+    for widths in ([9, 8, 6], [9]):
+        net = init_ff(7, widths, 4, seed=31)
+        # Output 0 sees only nonnegative inputs through negative weights, so
+        # its mask is zero on every sample; the origin zeroes every mask at
+        # once.
+        net.weights[-1][0] = -np.abs(net.weights[-1][0])
+        xs = make_rng(31, 3).standard_normal((17, 7))
+        xs[4] = 0.0
+        got = net.input_jacobians(xs)
+        want = forward_mode_jacobians(net, xs)
+        assert got.shape == (17, 4, 7)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(got[:, 0, :], np.zeros((17, 7)))
+        assert np.array_equal(got[4], np.zeros((4, 7)))
+        assert np.any(got[:, 1:, :] != 0.0)
 
 
 def test_ff_jacobians_seeded_by_cotangents():
-    net = init_ff(6, [9, 8], 3, seed=32)
-    xs = make_rng(32, 3).standard_normal((5, 6))
-    seeds = make_rng(33, 3).standard_normal((5, 2, 3))
-    outs = []
+    for widths in ([9, 8], [9]):
+        net = init_ff(6, widths, 3, seed=32)
+        xs = make_rng(32, 3).standard_normal((5, 6))
+        seeds = make_rng(33, 3).standard_normal((5, 2, 3))
+        outs = []
 
-    def cotangents(out):
-        outs.append(out)
-        return seeds
+        def cotangents(out):
+            outs.append(out)
+            return seeds
 
-    got = net.input_jacobians(xs, cotangents)
-    assert np.array_equal(outs[0], net.forward(xs))
-    np.testing.assert_allclose(got, seeds @ forward_mode_jacobians(net, xs),
-                               rtol=1e-12, atol=1e-14)
+        got = net.input_jacobians(xs, cotangents)
+        assert np.array_equal(outs[0], net.forward(xs))
+        np.testing.assert_allclose(got, seeds @ forward_mode_jacobians(net, xs),
+                                   rtol=1e-12, atol=1e-14)
+
+
+def test_ff_depth1_workspace_reuse_matches_fresh_calls():
+    # One workspace over chunks of 5, 9 and 3 rows (its buffers grow, then
+    # serve a shorter chunk) gives the bits of a fresh call per chunk.
+    net = init_ff(6, [20], 4, seed=34)
+    xs = make_rng(34, 3).standard_normal((17, 6))
+    chunks = [xs[:5], xs[5:14], xs[14:]]
+    seeds = make_rng(35, 3).standard_normal((17, 2, 4))
+    for cot in (None, lambda out: seeds[:out.shape[0]]):
+        workspace = models.Depth1Workspace(net)
+        for xb in chunks:
+            reused = net.input_jacobians(xb, cot, workspace=workspace)
+            assert np.array_equal(reused, net.input_jacobians(xb, cot))
+        stream = models.jacobian_stream(net, cot)
+        got = [stream(xb).copy() for xb in chunks]
+        assert all(np.array_equal(g, net.input_jacobians(xb, cot)) for g, xb in zip(got, chunks))
+
+
+def test_ff_depth1_jacobians_identical_across_blas_thread_counts():
+    # The mask GEMM sums over the hidden width; at widths 1024 and 4096
+    # OpenBLAS splits the (256, width) @ (width, 400) product across threads.
+    code = (
+        "import hashlib, numpy as np\n"
+        "from liptrack.bounds import _softmax_cotangents\n"
+        "from liptrack.linalg import make_rng\n"
+        "from liptrack.models import init_ff, jacobian_stream\n"
+        "x = make_rng(15, 11).standard_normal((488, 40))\n"
+        "for width in (1024, 4096):\n"
+        "    net = init_ff(40, [width], 10, seed=15)\n"
+        "    for cot in (None, _softmax_cotangents):\n"
+        "        h = hashlib.sha256()\n"
+        "        stream = jacobian_stream(net, cot)\n"
+        "        for lo in (0, 256):\n"
+        "            h.update(stream(x[lo:lo + 256]).tobytes())\n"
+        "        print(width, cot is not None, h.hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = proc.stdout
+    assert len(outputs["1"].splitlines()) == 4
+    assert outputs["1"] == outputs["2"]
 
 
 def test_ff_input_jacobian_rejects_batches():
