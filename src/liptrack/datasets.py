@@ -152,7 +152,7 @@ def _parse_mnist1d_body(body: str, columns: int, expect_split_column: bool):
     if body.endswith("\n"):
         body = body[:-1]
     lines = body.split("\n") if body else []
-    if (any(c in body for c in '" \t\v\f\r')
+    if (any(c in body for c in '" \t\v\f')
             or any(line.count(",") != columns - 1 for line in lines)):
         return None
     fields = [line.split(",", 2 if expect_split_column else 1) for line in lines]

@@ -222,9 +222,9 @@ class Depth1Workspace:
 
     ``outer`` is the (width, out·in) matrix ``outer[j, k·in + l] =
     W2[k, j] · W1[j, l]``, built once.  The row buffers grow to the largest
-    chunk seen and are reused, so a stream of chunks allocates no
-    chunk-sized temporaries (each one would make glibc trim and re-grow
-    its heap).
+    chunk seen and are reused, so a stream of chunks allocates nothing of
+    a chunk's (rows, width) or (rows, out·in) size: per-chunk temporaries
+    that large made glibc trim and re-grow its heap on every chunk.
     """
 
     def __init__(self, net: FFReluNet):
