@@ -60,15 +60,12 @@ def _row_batches(x: np.ndarray, batch: int) -> Iterator[np.ndarray]:
         yield x[lo:lo + batch]
 
 
-def _norm_stream(net, batches, softmax: bool = False) -> Iterator[np.ndarray]:
-    """Per-sample Jacobian spectral norms, one array per batch.
-
-    With ``softmax`` the Jacobians are those of softmax ∘ net: the softmax
-    Jacobian rows seed the net's Jacobian product.  One
-    :func:`~liptrack.models.jacobian_stream` serves all the batches, so a
-    depth-1 net builds its Jacobian workspace once.
+def _norm_stream(jacobians, batches) -> Iterator[np.ndarray]:
+    """Per-sample Jacobian spectral norms, one array per batch, from a
+    :func:`~liptrack.models.jacobian_stream`.  Seeded with
+    ``_softmax_cotangents``, the stream gives the Jacobians of softmax ∘ net.
+    A depth-1 net builds its Jacobian workspace once per stream.
     """
-    jacobians = jacobian_stream(net, _softmax_cotangents if softmax else None)
     for x in batches:
         yield batch_spectral_norms(jacobians(x))
 
@@ -107,7 +104,7 @@ def lower_bound(net, samples: np.ndarray, chunk: int = 256):
     sample attaining the sup.  Streams in chunks with a fixed reduction
     order, so results are deterministic and memory stays flat.
     """
-    return _sup_mean(_norm_stream(net, _row_batches(samples, chunk)))
+    return _sup_mean(_norm_stream(jacobian_stream(net), _row_batches(samples, chunk)))
 
 
 def upper_bound(net, settings: PowerIterSettings = PowerIterSettings()) -> float:
@@ -177,7 +174,7 @@ class ProbeSet:
 
 def probe_bound(net, probe: ProbeSet, chunk: int = 256) -> float:
     """Sup-Jacobian norm over the probe set (a superset of the train sup)."""
-    return _sup(_norm_stream(net, probe.batches(chunk)))
+    return _sup(_norm_stream(jacobian_stream(net), probe.batches(chunk)))
 
 
 def softmax_composed_lower_bound(net, samples: np.ndarray, chunk: int = 256) -> float:
@@ -187,7 +184,7 @@ def softmax_composed_lower_bound(net, samples: np.ndarray, chunk: int = 256) -> 
     top; since softmax contracts, it never exceeds the plain estimate.
     """
     _check_softmax(net)
-    return _sup(_norm_stream(net, _row_batches(samples, chunk), softmax=True))
+    return _sup(_norm_stream(jacobian_stream(net, _softmax_cotangents), _row_batches(samples, chunk)))
 
 
 @dataclass
@@ -237,15 +234,17 @@ def build_report(net, samples: np.ndarray, snapshot: dict,
     both ``c_lower`` and ``c_avg_norm``.  When the probe's train part
     equals ``samples``, its norms are the ones that pass already took (the
     chunks match), so only the rest of the probe set is scanned and
-    ``c_probe`` is the same as ``max(probe_bound(...), c_lower)``.
+    ``c_probe`` is the same as ``max(probe_bound(...), c_lower)``.  Both
+    passes draw on one Jacobian stream.
     """
     if softmax_composed:
         _check_softmax(net)
-    c_lower, c_avg, _ = _sup_mean(_norm_stream(net, _row_batches(samples, chunk), softmax_composed))
+    jacobians = jacobian_stream(net, _softmax_cotangents if softmax_composed else None)
+    c_lower, c_avg, _ = _sup_mean(_norm_stream(jacobians, _row_batches(samples, chunk)))
     c_probe = None
     if probe is not None:
         same = np.array_equal(samples, probe.train_x)
         batches = probe.beyond_train(chunk) if same else probe.batches(chunk)
-        c_probe = max(c_lower, _sup(_norm_stream(net, batches, softmax_composed)))
+        c_probe = max(c_lower, _sup(_norm_stream(jacobians, batches)))
     return LipschitzReport(c_lower=c_lower, c_avg_norm=c_avg, c_upper=upper_bound(net, settings),
                            c_probe=c_probe, softmax_composed=softmax_composed, snapshot=snapshot)

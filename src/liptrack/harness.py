@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -24,9 +25,10 @@ from .bounds import lower_bound, upper_bound
 from .datasets import (DataPair, load_cifar10, load_mnist1d, shuffle_labels, subsample,
                        synthetic_fallback)
 from .linalg import PowerIterSettings, vector_norm
-from .models import init_cnn, init_ff, param_distance
-from .training import (DivergenceError, LrSchedule, StopRule, STOP_THRESHOLDS, dataset_loss,
-                       default_stop, make_optimizer, param_grad, train, updates_per_epoch)
+from .models import init_cnn, init_ff, weight_shapes
+from .training import (DivergenceError, EpochRecord, LrSchedule, StopRule, STOP_THRESHOLDS,
+                       dataset_loss, default_stop, make_optimizer, param_grad, train,
+                       updates_per_epoch)
 
 # Sweep axis -> the config list holding its sizes.
 AXIS_SIZES = {"width": "widths", "depth": "depths", "samples": "samples_list",
@@ -161,14 +163,12 @@ def apply_profile(d: dict, profile: str) -> dict:
 
 
 def ff_param_count(input_dim: int, widths, output_dim: int) -> int:
-    dims = [int(input_dim), *[int(w) for w in widths], int(output_dim)]
-    return sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1))
+    arch = {"family": "ff", "input_dim": input_dim, "widths": widths, "output_dim": output_dim}
+    return sum(math.prod(shape) for shape in weight_shapes(arch))
 
 
 def cnn_param_count(width: int) -> int:
-    # 4 conv kernels (27w + 18w^2 + 72w^2 + 288w^2) plus the 10-way head (80w).
-    w = int(width)
-    return 378 * w * w + 107 * w
+    return sum(math.prod(shape) for shape in weight_shapes({"family": "cnn", "width": width}))
 
 
 def interpolation_threshold(n_samples: int, input_dim: int, output_dim: int,
@@ -272,32 +272,32 @@ def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int):
     settings = cfg.settings()
     schedule = LrSchedule(cfg.schedule, updates_per_epoch(data.train_x.shape[0],
                                                           cell_cfg.batch_size))
-    theta0 = net.param_vector()
 
     records = []
 
-    def log(epoch: int, current, train_loss, test_loss, grad_norm, eta):
+    def log(current, rec):
         c_low, c_avg, _ = lower_bound(current, data.train_x)
         records.append({
-            "config_hash": chash, "size": size, "seed": seed, "epoch": epoch,
-            "train_loss": train_loss, "test_loss": test_loss,
+            "config_hash": chash, "size": size, "seed": seed, "epoch": rec.epoch,
+            "train_loss": rec.train_loss, "test_loss": rec.test_loss,
             "c_lower": c_low, "c_avg_norm": c_avg,
             "c_upper": upper_bound(current, settings),
-            "param_dist": param_distance(current, theta0),
-            "grad_norm": grad_norm, "eta": eta})
+            "param_dist": rec.param_dist,
+            "grad_norm": rec.grad_norm, "eta": rec.eta})
 
     loss0, grad0 = param_grad(net, data.train_x, data.train_y, cfg.loss)
-    log(0, net, loss0, dataset_loss(net, data.test_x, data.test_y, cfg.loss),
-        vector_norm(grad0), schedule.coeff(0))
+    log(net, EpochRecord(epoch=0, train_loss=loss0,
+                         test_loss=dataset_loss(net, data.test_x, data.test_y, cfg.loss),
+                         grad_norm=vector_norm(grad0), eta=schedule.coeff(0),
+                         param_dist=0.0, wall_ms=0.0))
 
     def on_epoch(epoch, current, rec):
         if epoch % cfg.eval_every == 0:
-            log(epoch, current, rec.train_loss, rec.test_loss, rec.grad_norm, rec.eta)
+            log(current, rec)
 
     final = train_cell(cell_cfg, net, data, seed, on_epoch).final
     if final.epoch % cfg.eval_every != 0:
-        log(final.epoch, net, final.train_loss, final.test_loss,
-            final.grad_norm, final.eta)
+        log(net, final)
     return records
 
 

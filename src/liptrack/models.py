@@ -5,6 +5,9 @@ forward/backward for training, per-sample input Jacobians, per-layer
 spectral norms, and a flat parameter vector.  Weights are 64-bit
 throughout so analysis quantities cross-check against exact oracles.
 
+:func:`weight_shapes` is each family's one layer plan: the constructors,
+initialization, checkpoints and parameter counts all derive from it.
+
 Input Jacobians of a depth-1 FF net, ``J_i = D2_i W2 D1_i W1`` with sample
 i's 0/1 ReLU masks on the diagonals, are one GEMM per chunk: the (n, width)
 hidden masks times the (width, out·in) matrix ``W2[k, j] · W1[j, l]``, then
@@ -39,7 +42,59 @@ def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-class FFReluNet:
+def weight_shapes(arch: dict) -> list[tuple]:
+    """The weight shapes of an architecture spec (``arch_spec()``), input
+    side first: the only place that spells out a family's layer plan."""
+    family = arch.get("family")
+    if family == "ff":
+        dims = [int(arch["input_dim"]), *(int(w) for w in arch["widths"]), int(arch["output_dim"])]
+        return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+    if family == "cnn":
+        # Channels 3 -> w -> 2w -> 4w -> 8w with 3x3 kernels; the pools leave
+        # one pixel of 8w channels for the 10-way head.
+        w = int(arch["width"])
+        chans = [3, w, 2 * w, 4 * w, 8 * w]
+        return [*((chans[i + 1], chans[i], 3, 3) for i in range(4)), (10, 8 * w)]
+    raise ValueError(f"unknown architecture family {family!r}")
+
+
+class _ZeroBiasNet:
+    """What both families share: the weights are ``weight_arrays()``, one
+    array per entry of the layer plan, and the parameter vector is their
+    concatenation in that order."""
+
+    def _checked_weights(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """``arrays`` as float64, checked against this net's layer plan."""
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        shapes = weight_shapes(self.arch_spec())
+        if len(arrays) != len(shapes):
+            raise ValueError(f"{len(arrays)} weight arrays, expected {len(shapes)}")
+        for i, (a, shape) in enumerate(zip(arrays, shapes)):
+            if a.shape != shape:
+                raise ValueError(f"{self._layer_name(i)} weight shape {a.shape}, expected {shape}")
+        return arrays
+
+    @property
+    def param_count(self) -> int:
+        return sum(a.size for a in self.weight_arrays())
+
+    def copy(self):
+        return build_net(self.arch_spec(), [a.copy() for a in self.weight_arrays()])
+
+    def param_vector(self) -> np.ndarray:
+        return np.concatenate([a.ravel() for a in self.weight_arrays()])
+
+    def set_param_vector(self, theta: np.ndarray) -> None:
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (self.param_count,):
+            raise ValueError(f"parameter vector length {theta.shape}, expected ({self.param_count},)")
+        ofs = 0
+        for a in self.weight_arrays():
+            a[...] = theta[ofs:ofs + a.size].reshape(a.shape)
+            ofs += a.size
+
+
+class FFReluNet(_ZeroBiasNet):
     """Fully-connected net: zero-bias linear layers, ReLU after every one.
 
     The trailing ReLU is applied after the last linear layer too, so
@@ -54,15 +109,11 @@ class FFReluNet:
         self.input_dim = int(input_dim)
         self.widths = [int(w) for w in widths]
         self.output_dim = int(output_dim)
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        dims = [self.input_dim, *self.widths, self.output_dim]
-        for i, w in enumerate(self.weights):
-            if w.shape != (dims[i + 1], dims[i]):
-                raise ValueError(f"layer {i} weight shape {w.shape}, expected {(dims[i + 1], dims[i])}")
+        self.weights = self._checked_weights(weights)
 
-    @property
-    def param_count(self) -> int:
-        return sum(w.size for w in self.weights)
+    @staticmethod
+    def _layer_name(i: int) -> str:
+        return f"layer {i}"
 
     def weight_arrays(self) -> list[np.ndarray]:
         return self.weights
@@ -70,10 +121,6 @@ class FFReluNet:
     def arch_spec(self) -> dict:
         return {"family": "ff", "input_dim": self.input_dim,
                 "widths": list(self.widths), "output_dim": self.output_dim}
-
-    def copy(self) -> "FFReluNet":
-        return FFReluNet(self.input_dim, self.widths, self.output_dim,
-                         [w.copy() for w in self.weights])
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -203,18 +250,6 @@ class FFReluNet:
         smaller side (power iteration above); the ReLUs are 1-Lipschitz."""
         return [spectral_norm_dense(w, settings) for w in self.weights]
 
-    def param_vector(self) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in self.weights])
-
-    def set_param_vector(self, theta: np.ndarray) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.param_count,):
-            raise ValueError(f"parameter vector length {theta.shape}, expected ({self.param_count},)")
-        ofs = 0
-        for w in self.weights:
-            w[...] = theta[ofs:ofs + w.size].reshape(w.shape)
-            ofs += w.size
-
 
 class Depth1Workspace:
     """What a depth-1 :meth:`FFReluNet.input_jacobians` keeps across the
@@ -260,13 +295,18 @@ def init_ff(input_dim: int, widths: Sequence[int], output_dim: int, seed: int) -
     widths = [int(w) for w in widths]
     if any(w <= 0 for w in widths) or int(input_dim) <= 0 or int(output_dim) <= 0:
         raise ValueError(f"all dimensions must be positive, got widths={widths}")
+    return _fan_in_init({"family": "ff", "input_dim": int(input_dim), "widths": widths,
+                         "output_dim": int(output_dim)}, seed)
+
+
+def _fan_in_init(arch: dict, seed: int):
+    """``arch``'s net with one draw per layer of the plan, in order (see :func:`init_ff`)."""
     rng = make_rng(seed, _INIT_STREAM)
-    dims = [int(input_dim), *widths, int(output_dim)]
-    weights = []
-    for i in range(len(dims) - 1):
-        bound = math.sqrt(3.0) * math.sqrt(2.0 / dims[i])
-        weights.append(rng.uniform(-bound, bound, size=(dims[i + 1], dims[i])))
-    return FFReluNet(input_dim, widths, output_dim, weights)
+    arrays = []
+    for shape in weight_shapes(arch):
+        bound = math.sqrt(3.0) * math.sqrt(2.0 / math.prod(shape[1:]))  # fan-in: all but axis 0
+        arrays.append(rng.uniform(-bound, bound, size=shape))
+    return build_net(arch, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +443,7 @@ def conv_spectral_norm(kernel: np.ndarray, in_hw: tuple[int, int],
                                   (c_in, h, w), (c_out, h, w), settings)
 
 
-class CnnNet:
+class CnnNet(_ZeroBiasNet):
     """Four Conv-ReLU-MaxPool blocks plus a zero-bias linear head.
 
     Conv channels follow ``[w, 2w, 4w, 8w]`` with 3x3 kernels, stride 1,
@@ -414,42 +454,24 @@ class CnnNet:
     family = "cnn"
     pools = (1, 2, 2, 8)
     input_shape = (3, 32, 32)
+    input_dim = math.prod(input_shape)
 
     def __init__(self, width: int, kernels: Sequence[np.ndarray], linear_w: np.ndarray):
         self.width = int(width)
-        self.kernels = [np.asarray(k, dtype=np.float64) for k in kernels]
-        self.linear_w = np.asarray(linear_w, dtype=np.float64)
-        chans = self.channels()
-        for i, k in enumerate(self.kernels):
-            if k.shape != (chans[i + 1], chans[i], 3, 3):
-                raise ValueError(f"conv {i} kernel shape {k.shape}, expected {(chans[i + 1], chans[i], 3, 3)}")
-        if self.linear_w.shape != (10, 8 * self.width):
-            raise ValueError(f"linear shape {self.linear_w.shape}, expected (10, {8 * self.width})")
+        *self.kernels, self.linear_w = self._checked_weights([*kernels, linear_w])
 
-    def channels(self) -> list[int]:
-        w = self.width
-        return [3, w, 2 * w, 4 * w, 8 * w]
-
-    @property
-    def input_dim(self) -> int:
-        return 3 * 32 * 32
+    def _layer_name(self, i: int) -> str:
+        return f"conv {i}" if i < len(self.pools) else "linear"
 
     @property
     def output_dim(self) -> int:
-        return 10
-
-    @property
-    def param_count(self) -> int:
-        return sum(k.size for k in self.kernels) + self.linear_w.size
+        return self.linear_w.shape[0]
 
     def weight_arrays(self) -> list[np.ndarray]:
         return [*self.kernels, self.linear_w]
 
     def arch_spec(self) -> dict:
         return {"family": "cnn", "width": self.width}
-
-    def copy(self) -> "CnnNet":
-        return CnnNet(self.width, [k.copy() for k in self.kernels], self.linear_w.copy())
 
     def _as_images(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -489,7 +511,7 @@ class CnnNet:
         block_caches, feat = cache
         grads: list[np.ndarray] = [None] * (len(self.kernels) + 1)
         grads[-1] = dout.T @ feat
-        g = (dout @ self.linear_w).reshape(feat.shape[0], 8 * self.width, 1, 1)
+        g = (dout @ self.linear_w).reshape(*feat.shape, 1, 1)
         for i in range(len(self.kernels) - 1, -1, -1):
             a_in, z, idx = block_caches[i]
             g = maxpool_backward(g, idx, self.pools[i])
@@ -501,7 +523,7 @@ class CnnNet:
 
     def backprop_input(self, cache, dout: np.ndarray) -> np.ndarray:
         block_caches, feat = cache
-        g = (dout @ self.linear_w).reshape(feat.shape[0], 8 * self.width, 1, 1)
+        g = (dout @ self.linear_w).reshape(*feat.shape, 1, 1)
         for i in range(len(self.kernels) - 1, -1, -1):
             _, z, idx = block_caches[i]
             g = maxpool_backward(g, idx, self.pools[i])
@@ -547,34 +569,13 @@ class CnnNet:
         norms.append(spectral_norm_dense(self.linear_w, settings))
         return norms
 
-    def param_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.weight_arrays()])
-
-    def set_param_vector(self, theta: np.ndarray) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.param_count,):
-            raise ValueError(f"parameter vector length {theta.shape}, expected ({self.param_count},)")
-        ofs = 0
-        for a in self.weight_arrays():
-            a[...] = theta[ofs:ofs + a.size].reshape(a.shape)
-            ofs += a.size
-
 
 def init_cnn(width: int, seed: int) -> CnnNet:
     """Fresh conv net with the same fan-in uniform scheme as :func:`init_ff`."""
     width = int(width)
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    rng = make_rng(seed, _INIT_STREAM)
-    chans = [3, width, 2 * width, 4 * width, 8 * width]
-    kernels = []
-    for i in range(4):
-        fan_in = chans[i] * 9
-        bound = math.sqrt(3.0) * math.sqrt(2.0 / fan_in)
-        kernels.append(rng.uniform(-bound, bound, size=(chans[i + 1], chans[i], 3, 3)))
-    bound = math.sqrt(3.0) * math.sqrt(2.0 / (8 * width))
-    linear = rng.uniform(-bound, bound, size=(10, 8 * width))
-    return CnnNet(width, kernels, linear)
+    return _fan_in_init({"family": "cnn", "width": width}, seed)
 
 
 def param_distance(net, reference: np.ndarray) -> float:
@@ -586,18 +587,18 @@ def param_distance(net, reference: np.ndarray) -> float:
     return vector_norm(theta - reference)
 
 
-def build_net(arch: dict):
-    """Instantiate an architecture spec with zero weights (filled by caller)."""
+def build_net(arch: dict, arrays: Sequence[np.ndarray] | None = None):
+    """The net of an architecture spec with ``arrays`` as its weights, in
+    ``weight_arrays()`` order (taken as they are, not copied, when float64),
+    or with zero weights when ``arrays`` is None."""
+    shapes = weight_shapes(arch)
+    if arrays is None:
+        arrays = [np.zeros(shape) for shape in shapes]
     if arch["family"] == "ff":
-        dims = [arch["input_dim"], *arch["widths"], arch["output_dim"]]
-        weights = [np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
-        return FFReluNet(arch["input_dim"], arch["widths"], arch["output_dim"], weights)
-    if arch["family"] == "cnn":
-        w = arch["width"]
-        chans = [3, w, 2 * w, 4 * w, 8 * w]
-        kernels = [np.zeros((chans[i + 1], chans[i], 3, 3)) for i in range(4)]
-        return CnnNet(w, kernels, np.zeros((10, 8 * w)))
-    raise ValueError(f"unknown architecture family {arch.get('family')!r}")
+        return FFReluNet(arch["input_dim"], arch["widths"], arch["output_dim"], arrays)
+    if len(arrays) != len(shapes):  # before the head is split off
+        raise ValueError(f"{len(arrays)} weight arrays, expected {len(shapes)}")
+    return CnnNet(arch["width"], arrays[:-1], arrays[-1])
 
 
 def save_checkpoint(net, path, seed: int, epoch: int) -> None:
@@ -620,16 +621,12 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: not a checkpoint file")
     if obj.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {obj.get('version')!r}")
-    net = build_net(obj["arch"])
     arrays = []
     for layer in obj["layers"]:
         raw = base64.b64decode(layer["data"])
         arrays.append(np.frombuffer(raw, dtype=layer["dtype"]).reshape(layer["shape"]).astype(np.float64))
-    expected = net.weight_arrays()
-    if len(arrays) != len(expected):
-        raise ValueError(f"{path}: {len(arrays)} weight arrays, expected {len(expected)}")
-    for tgt, src in zip(expected, arrays):
-        if tgt.shape != src.shape:
-            raise ValueError(f"{path}: weight shape {src.shape}, expected {tgt.shape}")
-        tgt[...] = src
+    try:
+        net = build_net(obj["arch"], arrays)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return net, {"seed": obj["seed"], "epoch": obj["epoch"], "arch": obj["arch"]}

@@ -17,6 +17,7 @@ from liptrack.bounds import (
     softmax_jacobian,
     upper_bound,
 )
+from liptrack import models
 from liptrack.linalg import PowerIterSettings, make_rng, svd_oracle
 from liptrack.models import init_ff
 
@@ -327,6 +328,39 @@ def test_build_report_equals_public_estimators(chunk):
     bases = ProbeSet(tr, te, pair_count=0, seed=2)
     other = build_report(net, te, {}, TIGHT, probe=bases, chunk=chunk)
     assert other.c_probe == c_lower > other.c_lower
+
+
+@pytest.mark.parametrize("softmax_composed", [False, True])
+def test_build_report_keeps_one_jacobian_stream(monkeypatch, softmax_composed):
+    # The train pass and the probe pass share one depth-1 workspace, and
+    # every chunk still goes through FFReluNet.input_jacobians.
+    net = init_ff(6, [9], 4, seed=21)
+    rng = make_rng(21, 30)
+    tr = rng.standard_normal((25, 6))
+    probe = ProbeSet(tr, rng.standard_normal((10, 6)), pair_count=12, seed=2)
+    want = build_report(net, tr, {}, TIGHT, probe=probe, softmax_composed=softmax_composed,
+                        chunk=7)
+
+    workspaces = []
+    chunks = []
+
+    class CountedWorkspace(models.Depth1Workspace):
+        def __init__(self, net):
+            super().__init__(net)
+            workspaces.append(self)
+
+    def counted_jacobians(self, x, cotangents=None, workspace=None):
+        chunks.append(len(x))
+        return original(self, x, cotangents, workspace)
+
+    original = models.FFReluNet.input_jacobians
+    monkeypatch.setattr(models, "Depth1Workspace", CountedWorkspace)
+    monkeypatch.setattr(models.FFReluNet, "input_jacobians", counted_jacobians)
+    got = build_report(net, tr, {}, TIGHT, probe=probe, softmax_composed=softmax_composed,
+                       chunk=7)
+    assert len(workspaces) == 1
+    assert chunks == [len(b) for b in [*probe.batches(7)]]
+    assert got.to_json() == want.to_json()
 
 
 def test_probe_fidelity_zero_gap():

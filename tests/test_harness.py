@@ -206,6 +206,11 @@ def test_run_cell_record_structure():
         assert rec["grad_norm"] >= 0
     assert records[0]["param_dist"] == 0.0
     assert records[-1]["param_dist"] > 0
+    # Logged epochs carry the param_dist of train's own epoch records.
+    data = build_data(cfg)
+    trace = harness.train_cell(cfg, cell_net(cfg, data, 0, "width", 4), data, seed=0)
+    by_epoch = {rec.epoch: rec.param_dist for rec in trace.records}
+    assert [r["param_dist"] for r in records[1:]] == [by_epoch[r["epoch"]] for r in records[1:]]
 
 
 def test_run_cell_cadence_boundary():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from liptrack.models import (
     maxpool_backward,
     param_distance,
     save_checkpoint,
+    weight_shapes,
 )
 from tests.conftest import active_input
 
@@ -296,6 +298,57 @@ def test_init_ff_rejects_bad_dimensions():
 def test_ff_constructor_rejects_wrong_weight_shape():
     with pytest.raises(ValueError, match="layer 1"):
         FFReluNet(4, [5], 2, [np.zeros((5, 4)), np.zeros((2, 4))])
+
+
+def test_constructors_check_the_number_of_weight_arrays():
+    w1, w2 = init_ff(4, [5], 2, seed=0).weights
+    for arrays in ([w1], [w1, w2, np.zeros((2, 2))]):
+        with pytest.raises(ValueError, match=f"{len(arrays)} weight arrays, expected 2"):
+            FFReluNet(4, [5], 2, arrays)
+    cnn = init_cnn(1, seed=0)
+    with pytest.raises(ValueError, match="4 weight arrays, expected 5"):
+        CnnNet(1, cnn.kernels[:3], cnn.linear_w)
+    with pytest.raises(ValueError, match="6 weight arrays, expected 5"):
+        CnnNet(1, [*cnn.kernels, cnn.kernels[0]], cnn.linear_w)
+    for arch in ({"family": "ff", "input_dim": 4, "widths": [5], "output_dim": 2},
+                 {"family": "cnn", "width": 1}):
+        with pytest.raises(ValueError, match="0 weight arrays"):
+            build_net(arch, [])
+
+
+def test_weight_shapes_is_the_layer_plan_of_both_families():
+    ff = init_ff(12, [5, 7, 3], 4, seed=0)
+    assert weight_shapes(ff.arch_spec()) == [(5, 12), (7, 5), (3, 7), (4, 3)]
+    cnn = init_cnn(2, seed=0)
+    assert weight_shapes(cnn.arch_spec()) == [(2, 3, 3, 3), (4, 2, 3, 3), (8, 4, 3, 3),
+                                              (16, 8, 3, 3), (10, 16)]
+    for net in (ff, cnn):
+        assert [a.shape for a in net.weight_arrays()] == weight_shapes(net.arch_spec())
+
+
+# sha256 of param_vector().tobytes() of fresh nets: the fan-in draws, their
+# order on the init stream and the parameter layout are all pinned.
+GOLDEN_INIT = [
+    (lambda: init_ff(40, [16], 10, 0), "36ea5ef4c5967da2"),
+    (lambda: init_ff(40, [1024], 10, 3), "2557e34034ef9e66"),
+    (lambda: init_ff(12, [5, 7, 3], 4, 9), "7a13c3f5955b4ceb"),
+    (lambda: init_cnn(1, 0), "0ebdcb8285669780"),
+    (lambda: init_cnn(2, 5), "f96a8596bd31eb38"),
+    (lambda: init_cnn(4, 11), "1914fdad9dcf23d6"),
+]
+
+
+@pytest.mark.parametrize("make, digest", GOLDEN_INIT)
+def test_init_weights_keep_their_golden_bits(make, digest, tmp_path):
+    def bits(net):
+        return hashlib.sha256(net.param_vector().tobytes()).hexdigest()[:16]
+
+    net = make()
+    assert bits(net) == digest
+    assert bits(net.copy()) == digest
+    assert bits(build_net(net.arch_spec(), net.weight_arrays())) == digest
+    save_checkpoint(net, tmp_path / "ckpt.json", seed=0, epoch=0)
+    assert bits(load_checkpoint(tmp_path / "ckpt.json")[0]) == digest
 
 
 def test_ff_param_vector_round_trip():
@@ -735,7 +788,15 @@ def test_checkpoint_rejects_foreign_and_tampered_files(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(bad)
 
+    obj = json.loads(path.read_text())
+    obj["layers"][0]["shape"] = obj["layers"][0]["shape"][::-1]
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=r"bad\.json: layer 0 weight shape \(4, 3\), expected \(3, 4\)"):
+        load_checkpoint(bad)
+
 
 def test_build_net_rejects_unknown_family():
     with pytest.raises(ValueError, match="family"):
         build_net({"family": "transformer"})
+    with pytest.raises(ValueError, match="family"):
+        weight_shapes({"family": "rnn"})
