@@ -10,13 +10,14 @@ without leaving the data's convex hull.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
 
+from . import linalg
 from .linalg import (EXACT_SIDE_CAP, PowerIterSettings, gram_spectral_norms, make_rng,
-                     spectral_norm_dense)
+                     row_chunks, spectral_norm_dense)
 from .models import jacobian_stream
 
 _PROBE_STREAM = 0x9B0E
@@ -37,12 +38,6 @@ def batch_spectral_norms(mats: np.ndarray, settings: PowerIterSettings = PowerIt
     return np.array([spectral_norm_dense(m, settings) for m in mats])
 
 
-def _softmax(out: np.ndarray) -> np.ndarray:
-    shifted = out - out.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_jacobian(p: np.ndarray) -> np.ndarray:
     """diag(p) − p pᵀ for each row of class probabilities."""
     p = np.atleast_2d(p)
@@ -51,13 +46,12 @@ def softmax_jacobian(p: np.ndarray) -> np.ndarray:
 
 
 def _softmax_cotangents(out: np.ndarray) -> np.ndarray:
-    return softmax_jacobian(_softmax(out))
+    e = np.exp(out - out.max(axis=1, keepdims=True))
+    return softmax_jacobian(e / e.sum(axis=1, keepdims=True))
 
 
-def _row_batches(x: np.ndarray, batch: int) -> Iterator[np.ndarray]:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    for lo in range(0, x.shape[0], batch):
-        yield x[lo:lo + batch]
+def _row_batches(x: np.ndarray) -> Iterator[np.ndarray]:
+    return row_chunks(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
 
 def _norm_stream(jacobians, batches) -> Iterator[np.ndarray]:
@@ -97,14 +91,14 @@ def _check_softmax(net) -> None:
         raise ValueError("softmax composition needs at least 2 outputs")
 
 
-def lower_bound(net, samples: np.ndarray, chunk: int = 256):
+def lower_bound(net, samples: np.ndarray):
     """Sup and mean of the input-Jacobian spectral norm over a sample set.
 
     Returns ``(c_lower, c_avg, argmax_index)``; the index points at the
     sample attaining the sup.  Streams in chunks with a fixed reduction
     order, so results are deterministic and memory stays flat.
     """
-    return _sup_mean(_norm_stream(jacobian_stream(net), _row_batches(samples, chunk)))
+    return _sup_mean(_norm_stream(jacobian_stream(net), _row_batches(samples)))
 
 
 def upper_bound(net, settings: PowerIterSettings = PowerIterSettings()) -> float:
@@ -123,7 +117,8 @@ class ProbeSet:
     ``pair_count`` pairs are drawn per λ per source set, uniformly with
     replacement, from the stated seed.  Points are generated lazily in a
     fixed order so CIFAR-sized probes never have to be materialized.
-    The train points come first, in ``batch``-row slices of ``train_x``;
+    The train points come first, in the :func:`~liptrack.linalg.row_chunks`
+    slices of ``train_x``, and no block holds more than ``ROW_CHUNK`` rows;
     ``beyond_train`` yields the rest, so a caller that has already scanned
     the train set in the same slices (as :func:`build_report` does) can
     skip it.
@@ -144,14 +139,14 @@ class ProbeSet:
     def __len__(self) -> int:
         return len(self.train_x) + len(self.test_x) + 2 * len(self.lambdas) * self.pair_count
 
-    def batches(self, batch: int = 512) -> Iterator[np.ndarray]:
+    def batches(self) -> Iterator[np.ndarray]:
         """All probe points in their fixed order: train, test, then pairs."""
-        yield from _row_batches(self.train_x, batch)
-        yield from self.beyond_train(batch)
+        yield from _row_batches(self.train_x)
+        yield from self.beyond_train()
 
-    def beyond_train(self, batch: int = 512) -> Iterator[np.ndarray]:
+    def beyond_train(self) -> Iterator[np.ndarray]:
         """The probe points after the train set: test, then pairs."""
-        yield from _row_batches(self.test_x, batch)
+        yield from _row_batches(self.test_x)
         for src_idx, source in enumerate((self.train_x, self.test_x)):
             source = np.atleast_2d(np.asarray(source, dtype=np.float64))
             n = source.shape[0]
@@ -159,11 +154,11 @@ class ProbeSet:
                 # One generator per (source, λ) block, drawing full-range
                 # 64-bit words (fixed consumption, no rejection), so a larger
                 # pair_count extends the block's pair sequence as a prefix and
-                # probe sets are nested across pair_count and batch choices.
+                # probe sets are nested across pair_count and ROW_CHUNK.
                 rng = make_rng(self.seed, _PROBE_STREAM, src_idx, lam_idx)
                 done = 0
                 while done < self.pair_count:
-                    take = min(batch, self.pair_count - done)
+                    take = min(linalg.ROW_CHUNK, self.pair_count - done)
                     raw = rng.integers(0, 2 ** 64, size=(take, 2), dtype=np.uint64,
                                        endpoint=False)
                     i = raw[:, 0] % n
@@ -172,19 +167,19 @@ class ProbeSet:
                     done += take
 
 
-def probe_bound(net, probe: ProbeSet, chunk: int = 256) -> float:
+def probe_bound(net, probe: ProbeSet) -> float:
     """Sup-Jacobian norm over the probe set (a superset of the train sup)."""
-    return _sup(_norm_stream(jacobian_stream(net), probe.batches(chunk)))
+    return _sup(_norm_stream(jacobian_stream(net), probe.batches()))
 
 
-def softmax_composed_lower_bound(net, samples: np.ndarray, chunk: int = 256) -> float:
+def softmax_composed_lower_bound(net, samples: np.ndarray) -> float:
     """Sup over samples of ||J_softmax(f(x)) · ∇_x f(x)||₂.
 
     This is the lower estimate for the classifier with a softmax layer on
     top; since softmax contracts, it never exceeds the plain estimate.
     """
     _check_softmax(net)
-    return _sup(_norm_stream(jacobian_stream(net, _softmax_cotangents), _row_batches(samples, chunk)))
+    return _sup(_norm_stream(jacobian_stream(net, _softmax_cotangents), _row_batches(samples)))
 
 
 @dataclass
@@ -208,9 +203,7 @@ class LipschitzReport:
         return (self.c_probe - self.c_lower) / gap
 
     def to_dict(self) -> dict:
-        out = {"c_lower": self.c_lower, "c_avg_norm": self.c_avg_norm,
-               "c_upper": self.c_upper, "c_probe": self.c_probe,
-               "softmax_composed": self.softmax_composed, "snapshot": self.snapshot}
+        out = asdict(self)
         fid = self.probe_fidelity()
         if fid is not None:
             out["probe_fidelity"] = fid
@@ -222,8 +215,8 @@ class LipschitzReport:
 
 def build_report(net, samples: np.ndarray, snapshot: dict,
                  settings: PowerIterSettings = PowerIterSettings(),
-                 probe: ProbeSet | None = None, softmax_composed: bool = False,
-                 chunk: int = 256) -> LipschitzReport:
+                 probe: ProbeSet | None = None,
+                 softmax_composed: bool = False) -> LipschitzReport:
     """Assemble the full report for one checkpoint.
 
     With ``softmax_composed`` the lower and probe estimates describe
@@ -240,11 +233,11 @@ def build_report(net, samples: np.ndarray, snapshot: dict,
     if softmax_composed:
         _check_softmax(net)
     jacobians = jacobian_stream(net, _softmax_cotangents if softmax_composed else None)
-    c_lower, c_avg, _ = _sup_mean(_norm_stream(jacobians, _row_batches(samples, chunk)))
+    c_lower, c_avg, _ = _sup_mean(_norm_stream(jacobians, _row_batches(samples)))
     c_probe = None
     if probe is not None:
         same = np.array_equal(samples, probe.train_x)
-        batches = probe.beyond_train(chunk) if same else probe.batches(chunk)
+        batches = probe.beyond_train() if same else probe.batches()
         c_probe = max(c_lower, _sup(_norm_stream(jacobians, batches)))
     return LipschitzReport(c_lower=c_lower, c_avg_norm=c_avg, c_upper=upper_bound(net, settings),
                            c_probe=c_probe, softmax_composed=softmax_composed, snapshot=snapshot)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import ProbeSet, build_report
-from .ensembles import sweep_biasvar, write_biasvar_csv
+from .ensembles import resolve_xprime, sweep_biasvar, write_biasvar_csv
 from .harness import (ExperimentConfig, PLOT_KINDS, SWEEP_AXES, apply_overrides, apply_profile,
                       build_data, cell_net, emit_plot_data, read_records_jsonl, run_sweep,
                       train_cell, write_failures, write_run_dir)
@@ -39,15 +39,24 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _json_or_text(raw: str):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
 def _parse_override(item: str):
     if "=" not in item:
         raise ConfigError(f"override {item!r} is not of the form key=value")
     key, raw = item.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return key, value
+    return key, _json_or_text(raw)
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -141,6 +150,10 @@ def _cmd_biasvar(args) -> int:
     cfg = _effective_config(args)
     data = build_data(cfg)
     check_batch_size(cfg.batch_size, data.train_x.shape[0])  # before the run dir exists
+    try:
+        resolve_xprime(args.xprime, data.test.inputs)
+    except ValueError as err:
+        raise ConfigError(str(err))
     run_dir = write_run_dir(cfg, args.out, {"subcommand": "biasvar"})
     _log(f"bias-variance sweep over widths {cfg.widths} -> {run_dir}")
     rows, failures = sweep_biasvar(cfg, data, args.xprime)
@@ -154,17 +167,7 @@ def _read_rows(path: Path):
     if path.suffix == ".jsonl":
         return read_records_jsonl(path)
     with open(path, newline="") as fh:
-        raw = list(csv.DictReader(fh))
-    rows = []
-    for r in raw:
-        row = {}
-        for k, v in r.items():
-            try:
-                row[k] = json.loads(v)
-            except json.JSONDecodeError:
-                row[k] = v
-        rows.append(row)
-    return rows
+        return [{k: _json_or_text(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
 def _cmd_emit_plot_data(args) -> int:
@@ -213,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'synthetic', an MNIST1D CSV file/dir, or a CIFAR-10 dir")
     p.add_argument("--data-kind", choices=["mnist1d", "cifar10"], default=None)
     p.add_argument("--probe", action="store_true", help="include the convex-combination probe set")
-    p.add_argument("--pairs-per-lambda", type=int, default=10000)
+    p.add_argument("--pairs-per-lambda", type=_nonnegative_int, default=10000)
     p.add_argument("--probe-seed", type=int, default=0)
     p.add_argument("--softmax", action="store_true",
                    help="compose the lower estimates with a softmax layer")

@@ -9,7 +9,6 @@ and trained by the harness's cell driver, exactly as sweep cells are.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,8 @@ import numpy as np
 # lower_bound is no longer called here but stays bound: perfbench's tracer
 # patches it by name in every module that imports it.
 from .bounds import batch_spectral_norms, lower_bound, upper_bound  # noqa: F401
-from .harness import ExperimentConfig, cell_net, train_cell
-from .linalg import PowerIterSettings
+from .harness import ExperimentConfig, cell_net, train_cell, write_csv
+from .linalg import PowerIterSettings, row_chunks
 from .models import jacobian_stream
 from .training import DivergenceError, one_hot
 
@@ -55,7 +54,7 @@ class SeedEnsemble:
         return out / self.size
 
 
-def decompose(e: SeedEnsemble, test_set, chunk: int = 1024):
+def decompose(e: SeedEnsemble, test_set):
     """Split expected test MSE into bias² and variance over the seed draw.
 
     Returns ``(bias_sq, variance, expected_test_loss)``.  All three are
@@ -69,9 +68,8 @@ def decompose(e: SeedEnsemble, test_set, chunk: int = 1024):
     bias_total = 0.0
     var_total = 0.0
     loss_total = 0.0
-    for lo in range(0, x.shape[0], chunk):
-        xb = x[lo:lo + chunk]
-        y = one_hot(labels[lo:lo + chunk], k)
+    for xb, yb in row_chunks(x, labels):
+        y = one_hot(yb, k)
         preds = np.stack([m.forward(xb) for m in e.members])
         fbar = preds.mean(axis=0)
         bias_total += float(np.sum((y - fbar) ** 2))
@@ -81,7 +79,7 @@ def decompose(e: SeedEnsemble, test_set, chunk: int = 1024):
     return bias_total / n, var_total / n, loss_total / n
 
 
-def ensemble_lipschitz_lower(e: SeedEnsemble, samples: np.ndarray, chunk: int = 256):
+def ensemble_lipschitz_lower(e: SeedEnsemble, samples: np.ndarray):
     """Lower Lipschitz estimates for the mean function and the mean of members.
 
     ``c_bar_hat`` takes the Jacobian of the averaged function (mean of
@@ -91,7 +89,8 @@ def ensemble_lipschitz_lower(e: SeedEnsemble, samples: np.ndarray, chunk: int = 
     built once per chunk and feed both estimates.  Each member keeps one
     Jacobian stream (:func:`~liptrack.models.jacobian_stream`) over all the
     chunks; since a stream's result is overwritten by its next call, the
-    mean is summed in its own array, members in order.
+    mean is summed in its own array (sized by the first, largest chunk),
+    members in order.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
@@ -99,15 +98,15 @@ def ensemble_lipschitz_lower(e: SeedEnsemble, samples: np.ndarray, chunk: int = 
     best = 0.0
     per_seed = [0.0] * e.size
     streams = [jacobian_stream(m) for m in e.members]
-    net = e.members[0]
-    total = np.empty((min(chunk, samples.shape[0]), net.output_dim, net.input_dim))
-    for lo in range(0, samples.shape[0], chunk):
-        xb = samples[lo:lo + chunk]
-        mean_jac = total[:xb.shape[0]]
+    total = None
+    for xb in row_chunks(samples):
         for i, jacobians in enumerate(streams):
             jac = jacobians(xb)
             per_seed[i] = max(per_seed[i], float(batch_spectral_norms(jac).max()))
             if i == 0:
+                if total is None:
+                    total = np.empty_like(jac)
+                mean_jac = total[:len(xb)]
                 mean_jac[...] = jac
             else:
                 mean_jac += jac
@@ -138,8 +137,8 @@ class BoundConstants:
     label: str  # "lower" or "upper"
 
 
-def lower_estimates(e: SeedEnsemble, samples: np.ndarray, chunk: int = 256) -> BoundConstants:
-    c_bar_hat, c_bar_zeta_hat = ensemble_lipschitz_lower(e, samples, chunk)
+def lower_estimates(e: SeedEnsemble, samples: np.ndarray) -> BoundConstants:
+    c_bar_hat, c_bar_zeta_hat = ensemble_lipschitz_lower(e, samples)
     return BoundConstants(c_bar_hat, c_bar_zeta_hat, "lower")
 
 
@@ -177,32 +176,36 @@ def variance_bound(e: SeedEnsemble, test_set, xprime: np.ndarray | None,
     return bound_v1, bound_v2
 
 
+def resolve_xprime(xprime_kind: str, test_inputs: np.ndarray) -> np.ndarray:
+    """x′ named by ``xprime_kind``: the origin for ``"zero"``, test row i for
+    ``"test_point:<i>"`` with 0 <= i < n_test; anything else raises ValueError."""
+    if xprime_kind == "zero":
+        return np.zeros(test_inputs.shape[1])
+    index = xprime_kind.removeprefix("test_point:")
+    if index == xprime_kind or not index.isdecimal() or int(index) >= len(test_inputs):
+        raise ValueError(f"bad xprime_kind {xprime_kind!r}: expected 'zero' or "
+                         f"'test_point:<i>' with 0 <= i < {len(test_inputs)}")
+    return test_inputs[int(index)]
+
+
 def build_biasvar_report(e: SeedEnsemble, test_set, xprime_kind: str = "zero",
-                         settings: PowerIterSettings = PowerIterSettings(),
-                         chunk: int = 256) -> dict:
+                         settings: PowerIterSettings = PowerIterSettings()) -> dict:
     """One row of the study: decomposition, constants, and all four bounds.
 
-    ``xprime_kind`` is ``"zero"`` or ``"test_point:<i>"`` for the i-th
-    test sample.  The row carries the bounds instantiated with both the
-    measured lower estimates and the provable upper estimates.
+    ``xprime_kind`` names x′ for :func:`resolve_xprime`.  The row carries
+    the bounds instantiated with both the measured lower estimates and the
+    provable upper estimates.
     """
+    xprime = resolve_xprime(xprime_kind, test_set.inputs)
     bias_sq, variance, expected = decompose(e, test_set)
-    lo = lower_estimates(e, test_set.inputs, chunk)
+    lo = lower_estimates(e, test_set.inputs)
     up = upper_estimates(e, settings)
-    if xprime_kind == "zero":
-        xprime = None
-    elif xprime_kind.startswith("test_point:"):
-        idx = int(xprime_kind.split(":", 1)[1])
-        xprime = test_set.inputs[idx]
-    else:
-        raise ValueError(f"unknown xprime_kind {xprime_kind!r}")
     v1_lo, v2_lo = variance_bound(e, test_set, xprime, lo)
     v1_up, v2_up = variance_bound(e, test_set, xprime, up)
-    xp = np.zeros(test_set.inputs.shape[1]) if xprime is None else xprime
     return {"bias_sq": bias_sq, "variance": variance, "test_loss": expected,
             "r_sq": mean_sq_dist(test_set.inputs, np.zeros(test_set.inputs.shape[1])),
             "c_bar": lo.c_bar, "c_bar_zeta": lo.c_bar_zeta,
-            "var_at_xprime": variance_at(e, xp),
+            "var_at_xprime": variance_at(e, xprime),
             "bound_v1_lower": v1_lo, "bound_v2_lower": v2_lo,
             "bound_v1_upper": v1_up, "bound_v2_upper": v2_up,
             "xprime_kind": xprime_kind}
@@ -240,8 +243,4 @@ def sweep_biasvar(cfg: ExperimentConfig, data, xprime_kind: str = "zero"):
 
 
 def write_biasvar_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BIASVAR_CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in BIASVAR_CSV_COLUMNS})
+    write_csv(rows, BIASVAR_CSV_COLUMNS, path)

@@ -24,11 +24,10 @@ from . import __version__
 from .bounds import lower_bound, upper_bound
 from .datasets import (DataPair, load_cifar10, load_mnist1d, shuffle_labels, subsample,
                        synthetic_fallback)
-from .linalg import PowerIterSettings, vector_norm
+from .linalg import PowerIterSettings
 from .models import init_cnn, init_ff, weight_shapes
-from .training import (DivergenceError, EpochRecord, LrSchedule, StopRule, STOP_THRESHOLDS,
-                       dataset_loss, default_stop, make_optimizer, param_grad, train,
-                       updates_per_epoch)
+from .training import (DivergenceError, StopRule, STOP_THRESHOLDS, default_stop,
+                       make_optimizer, train)
 
 # Sweep axis -> the config list holding its sizes.
 AXIS_SIZES = {"width": "widths", "depth": "depths", "samples": "samples_list",
@@ -73,8 +72,6 @@ class ExperimentConfig:
     batch_size: int = 512
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3])
     eval_every: int = 10
-    probe_pairs: int = 10000
-    probe_seed: int = 0
     power_iter: dict = field(default_factory=lambda: {"max_iters": 1000, "rel_tol": 1e-9, "seed": 0})
 
     def __post_init__(self):
@@ -140,14 +137,13 @@ PROFILES = {
         "widths": [16, 32, 64, 80, 96, 128, 256, 512, 1024],
         "max_epochs": 300, "min_epochs": 0, "eval_every": 50,
         "schedule": "warmup20000step25", "base_lr": 1.0, "batch_size": 128,
-        "probe_pairs": 10000, "dataset.label_noise": 0.2,
+        "dataset.label_noise": 0.2,
     },
     "paper": {
         "widths": [16, 32, 64, 80, 96, 128, 256, 512, 1024, 2048, 4096,
                    8192, 16384, 32768, 65536, 131072],
         "max_epochs": 300000, "min_epochs": 10000, "eval_every": 1000,
         "schedule": "warmup20000step25", "base_lr": 0.005, "batch_size": 512,
-        "probe_pairs": 100000,
     },
 }
 
@@ -270,9 +266,6 @@ def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int):
     net = cell_net(cell_cfg, data, seed, axis, size)
     chash = cfg.config_hash()
     settings = cfg.settings()
-    schedule = LrSchedule(cfg.schedule, updates_per_epoch(data.train_x.shape[0],
-                                                          cell_cfg.batch_size))
-
     records = []
 
     def log(current, rec):
@@ -284,12 +277,6 @@ def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int):
             "c_upper": upper_bound(current, settings),
             "param_dist": rec.param_dist,
             "grad_norm": rec.grad_norm, "eta": rec.eta})
-
-    loss0, grad0 = param_grad(net, data.train_x, data.train_y, cfg.loss)
-    log(net, EpochRecord(epoch=0, train_loss=loss0,
-                         test_loss=dataset_loss(net, data.test_x, data.test_y, cfg.loss),
-                         grad_norm=vector_norm(grad0), eta=schedule.coeff(0),
-                         param_dist=0.0, wall_ms=0.0))
 
     def on_epoch(epoch, current, rec):
         if epoch % cfg.eval_every == 0:
@@ -393,13 +380,16 @@ def read_records_jsonl(path) -> list[dict]:
     return [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
 
 
-def write_summary_csv(rows, path) -> None:
-    cols = summary_columns()
+def write_csv(rows, cols, path) -> None:
+    """A CSV with header ``cols`` and one line per row, holding the row's ``cols``."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=cols)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in cols})
+        writer.writerows({k: row[k] for k in cols} for row in rows)
+
+
+def write_summary_csv(rows, path) -> None:
+    write_csv(rows, summary_columns(), path)
 
 
 def write_run_dir(cfg: ExperimentConfig, out_dir, meta: dict) -> Path:
@@ -422,7 +412,18 @@ def write_failures(failures, run_dir) -> None:
         path.unlink(missing_ok=True)
 
 
-PLOT_KINDS = ("bounds-vs-width", "bounds-vs-epoch", "variance-vs-width", "param-dist-vs-width")
+# Plot kind -> its CSV columns; bounds-vs-epoch averages each "<metric>_mean"
+# over the records of one epoch, the others copy summary or biasvar rows.
+PLOT_COLUMNS = {
+    "bounds-vs-width": ["size", "test_loss_mean", "train_loss_mean", "c_lower_mean",
+                        "c_lower_min", "c_lower_max", "c_avg_norm_mean", "c_upper_mean"],
+    "bounds-vs-epoch": ["epoch", "train_loss_mean", "test_loss_mean", "c_lower_mean",
+                        "c_avg_norm_mean", "c_upper_mean", "param_dist_mean"],
+    "variance-vs-width": ["width", "bias_sq", "variance", "test_loss", "bound_v1_lower",
+                          "bound_v2_lower", "bound_v1_upper", "bound_v2_upper"],
+    "param-dist-vs-width": ["size", "param_dist_mean", "param_dist_min", "param_dist_max"],
+}
+PLOT_KINDS = tuple(PLOT_COLUMNS)
 
 
 def emit_plot_data(rows, plot_kind: str, path, size=None) -> None:
@@ -431,38 +432,21 @@ def emit_plot_data(rows, plot_kind: str, path, size=None) -> None:
     ``rows`` is the summary table (or raw records for the vs-epoch kind,
     filtered to one ``size``); values are written untransformed.
     """
-    if plot_kind == "bounds-vs-width":
-        cols = ["size", "test_loss_mean", "train_loss_mean", "c_lower_mean", "c_lower_min",
-                "c_lower_max", "c_avg_norm_mean", "c_upper_mean"]
-        out = [{k: row[k] for k in cols} for row in rows]
-    elif plot_kind == "param-dist-vs-width":
-        cols = ["size", "param_dist_mean", "param_dist_min", "param_dist_max"]
-        out = [{k: row[k] for k in cols} for row in rows]
-    elif plot_kind == "variance-vs-width":
-        cols = ["width", "bias_sq", "variance", "test_loss", "bound_v1_lower",
-                "bound_v2_lower", "bound_v1_upper", "bound_v2_upper"]
-        out = [{k: row[k] for k in cols} for row in rows]
-    elif plot_kind == "bounds-vs-epoch":
-        picked = [r for r in rows if size is None or r["size"] == size]
-        by_epoch: dict = {}
-        for rec in picked:
-            by_epoch.setdefault(rec["epoch"], []).append(rec)
-        cols = ["epoch", "train_loss_mean", "test_loss_mean", "c_lower_mean",
-                "c_avg_norm_mean", "c_upper_mean", "param_dist_mean"]
-        out = []
-        for epoch in sorted(by_epoch):
-            cell = by_epoch[epoch]
-            row = {"epoch": epoch}
-            for metric in ("train_loss", "test_loss", "c_lower", "c_avg_norm",
-                           "c_upper", "param_dist"):
-                row[f"{metric}_mean"] = float(np.mean([r[metric] for r in cell]))
-            out.append(row)
-    else:
+    if plot_kind not in PLOT_COLUMNS:
         raise ValueError(f"unknown plot kind {plot_kind!r}; expected one of {PLOT_KINDS}")
+    cols = PLOT_COLUMNS[plot_kind]
+    if plot_kind == "bounds-vs-epoch":
+        by_epoch: dict = {}
+        for rec in rows:
+            if size is None or rec["size"] == size:
+                by_epoch.setdefault(rec["epoch"], []).append(rec)
+        rows = []
+        for epoch, cell in sorted(by_epoch.items()):
+            row = {"epoch": epoch}
+            for col in cols[1:]:
+                row[col] = float(np.mean([r[col.removesuffix("_mean")] for r in cell]))
+            rows.append(row)
+    out = [{k: row[k] for k in cols} for row in rows]
     if not out:
         raise ValueError(f"no rows to plot for {plot_kind!r}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols)
-        writer.writeheader()
-        for row in out:
-            writer.writerow(row)
+    write_csv(out, cols, path)

@@ -1,4 +1,5 @@
-"""Seeded randomness, spectral norms, and an exact oracle.  Dense norms are
+"""Seeded randomness, spectral norms, an exact oracle, and the row slices
+(``ROW_CHUNK``, ``row_chunks``) that every sample-set pass takes.  Dense norms are
 exact up to ``EXACT_SIDE_CAP`` on the smaller side; wider dense matrices
 and implicit operators (the convs) get power iteration.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,6 +120,23 @@ def stable_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -
     thread count.  Measured thread-stable on the shapes liptrack uses: the
     conv GEMMs on 32/16/8 grids and dense matrix-vector products."""
     return _inner_blocked_matmul(a, b, _SERIAL_INNER_LEN, out)
+
+
+# Rows per slice of every pass over a whole sample set (stop-rule gradient,
+# test loss, Jacobian norms, ensemble passes); sums over slices follow it.
+ROW_CHUNK = 256
+
+
+def row_chunks(*arrays: np.ndarray) -> Iterator:
+    """Aligned ``ROW_CHUNK``-row slices (views) of arrays that share their
+    row count: the slice itself for one array, a tuple for several."""
+    n = len(arrays[0])
+    if any(len(a) != n for a in arrays):
+        raise ValueError(f"row counts differ: {[len(a) for a in arrays]}")
+    step = ROW_CHUNK
+    for lo in range(0, n, step):
+        rows = tuple(a[lo:lo + step] for a in arrays)
+        yield rows[0] if len(rows) == 1 else rows
 
 
 def _as_matrix(m) -> np.ndarray:

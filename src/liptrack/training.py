@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import make_rng, vector_norm
+from .linalg import make_rng, row_chunks, vector_norm
 
 LOSS_KINDS = ("mse", "ce")
 SCHEDULE_VARIANTS = ("warmup20000step25", "cont100", "constant")
@@ -77,33 +77,31 @@ def loss_and_grad(net, x: np.ndarray, labels: np.ndarray, kind: str):
     return value / n, grads
 
 
-def param_grad(net, x: np.ndarray, labels: np.ndarray, kind: str, chunk: int = 256):
+def param_grad(net, x: np.ndarray, labels: np.ndarray, kind: str):
     """Mean loss over a (possibly large) sample set and its flat θ-gradient.
 
-    Evaluated in chunks so the full training set fits; the result is the
-    exact mean-loss gradient, not a minibatch estimate.
+    Evaluated in :func:`~liptrack.linalg.row_chunks` slices so the full
+    training set fits; the result is the exact mean-loss gradient, not a
+    minibatch estimate.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.asarray(labels)
-    n = x.shape[0]
     total = 0.0
     acc = None
-    for lo in range(0, n, chunk):
-        out, cache = net.forward_cached(x[lo:lo + chunk])
-        value, dout = _loss_sum_and_dout(out, labels[lo:lo + chunk], kind)
+    for xb, yb in row_chunks(x, np.asarray(labels)):
+        out, cache = net.forward_cached(xb)
+        value, dout = _loss_sum_and_dout(out, yb, kind)
         total += value
         grads = net.backprop_params(cache, dout)
         flat = np.concatenate([g.ravel() for g in grads])
         acc = flat if acc is None else acc + flat
-    return total / n, acc / n
+    return total / x.shape[0], acc / x.shape[0]
 
 
-def dataset_loss(net, x: np.ndarray, labels: np.ndarray, kind: str, chunk: int = 256) -> float:
+def dataset_loss(net, x: np.ndarray, labels: np.ndarray, kind: str) -> float:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     total = 0.0
-    for lo in range(0, x.shape[0], chunk):
-        out = net.forward(x[lo:lo + chunk])
-        value, _ = _loss_sum_and_dout(out, np.asarray(labels)[lo:lo + chunk], kind)
+    for xb, yb in row_chunks(x, np.asarray(labels)):
+        value, _ = _loss_sum_and_dout(net.forward(xb), yb, kind)
         total += value
     return total / x.shape[0]
 
@@ -269,10 +267,7 @@ class EpochRecord:
     wall_ms: float
 
     def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "train_loss": self.train_loss,
-                "test_loss": self.test_loss, "grad_norm": self.grad_norm,
-                "eta": self.eta, "param_dist": self.param_dist,
-                "wall_ms": self.wall_ms}
+        return asdict(self)
 
 
 @dataclass
@@ -317,8 +312,9 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
 
     Sample order is reshuffled every epoch from a generator derived from
     ``seed``, so the whole run is reproducible.  ``on_epoch`` (if given)
-    fires after each epoch's record is appended; the harness uses it to
-    evaluate bounds mid-run.
+    fires with epoch 0's record of the initial net (which is not added to
+    the trace), then after each epoch's record is appended; the harness
+    uses it to evaluate bounds mid-run.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
@@ -327,10 +323,24 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
     check_batch_size(batch_size, n)
     schedule = LrSchedule(schedule_variant, updates_per_epoch(n, batch_size))
     rng = make_rng(seed, _SHUFFLE_STREAM)
-    theta0 = net.param_vector()
+
+    def evaluate(epoch: int, eta: float, param_dist: float, started: float) -> EpochRecord:
+        train_loss, grad = param_grad(net, x, y, kind)
+        if epoch and not math.isfinite(train_loss):  # epoch 0 has taken no step
+            raise DivergenceError(epoch)
+        return EpochRecord(
+            epoch=epoch, train_loss=train_loss,
+            test_loss=dataset_loss(net, dataset.test_x, dataset.test_y, kind),
+            grad_norm=vector_norm(grad), eta=eta, param_dist=param_dist,
+            wall_ms=(time.perf_counter() - started) * 1e3)
+
     trace = TrainTrace()
     update = 0
     coeff = schedule.coeff(0)
+    if on_epoch is not None:
+        on_epoch(0, net, evaluate(0, coeff, 0.0, time.perf_counter()))
+    # Copied after epoch 0's evaluation: before it, it raised a width sweep's peak RSS by 1 MB.
+    theta0 = net.param_vector()
     for epoch in range(1, stop.max_epochs + 1):
         started = time.perf_counter()
         order = rng.permutation(n)
@@ -342,20 +352,11 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
                 raise DivergenceError(epoch)
             optimizer.step(net.weight_arrays(), grads, coeff)
             update += 1
-        train_loss, grad = param_grad(net, x, y, kind)
-        if not math.isfinite(train_loss):
-            raise DivergenceError(epoch)
-        grad_norm = vector_norm(grad)
-        test_loss = dataset_loss(net, dataset.test_x, dataset.test_y, kind)
-        record = EpochRecord(
-            epoch=epoch, train_loss=train_loss, test_loss=test_loss,
-            grad_norm=grad_norm, eta=coeff,
-            param_dist=vector_norm(net.param_vector() - theta0),
-            wall_ms=(time.perf_counter() - started) * 1e3)
+        record = evaluate(epoch, coeff, vector_norm(net.param_vector() - theta0), started)
         trace.records.append(record)
         if on_epoch is not None:
             on_epoch(epoch, net, record)
-        if stop.should_stop(epoch, grad_norm):
+        if stop.should_stop(epoch, record.grad_norm):
             trace.stop_reason = "grad_norm"
             break
     else:

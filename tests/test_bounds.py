@@ -17,7 +17,7 @@ from liptrack.bounds import (
     softmax_jacobian,
     upper_bound,
 )
-from liptrack import models
+from liptrack import linalg, models
 from liptrack.linalg import PowerIterSettings, make_rng, svd_oracle
 from liptrack.models import init_ff
 
@@ -79,11 +79,12 @@ def test_lower_bound_matches_per_sample_oracle():
     assert mean == pytest.approx(per.mean(), rel=1e-11)
 
 
-def test_lower_bound_chunk_invariance_and_errors():
+def test_lower_bound_chunk_invariance_and_errors(monkeypatch):
     net = init_ff(6, [9], 3, seed=4)
     x = make_rng(4, 30).standard_normal((23, 6))
-    b1, m1, i1 = lower_bound(net, x, chunk=256)
-    b2, m2, i2 = lower_bound(net, x, chunk=5)
+    b1, m1, i1 = lower_bound(net, x)
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 5)
+    b2, m2, i2 = lower_bound(net, x)
     assert (b1, i1) == (b2, i2)
     assert m1 == pytest.approx(m2, rel=1e-13)
     with pytest.raises(ValueError, match="at least one sample"):
@@ -111,8 +112,8 @@ def test_lower_never_exceeds_upper():
 # Probe sets
 
 
-def probe_points(probe: ProbeSet, batch: int = 512) -> np.ndarray:
-    return np.concatenate(list(probe.batches(batch)))
+def probe_points(probe: ProbeSet) -> np.ndarray:
+    return np.concatenate(list(probe.batches()))
 
 
 def test_probe_set_len_and_base_coverage():
@@ -136,15 +137,16 @@ def test_probe_set_zero_pairs_is_just_the_bases():
     assert np.array_equal(probe_points(probe), np.concatenate([tr, te]))
 
 
-def test_probe_set_deterministic_and_batch_size_invariant():
+def test_probe_set_deterministic_and_batch_size_invariant(monkeypatch):
     rng = make_rng(9, 30)
     tr = rng.standard_normal((13, 5))
     te = rng.standard_normal((6, 5))
-    a = probe_points(ProbeSet(tr, te, pair_count=25, seed=3), batch=512)
-    b = probe_points(ProbeSet(tr, te, pair_count=25, seed=3), batch=7)
-    assert np.array_equal(a, b)
+    a = probe_points(ProbeSet(tr, te, pair_count=25, seed=3))
     c = probe_points(ProbeSet(tr, te, pair_count=25, seed=4))
     assert not np.array_equal(a, c)
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 7)
+    b = probe_points(ProbeSet(tr, te, pair_count=25, seed=3))
+    assert np.array_equal(a, b)
 
 
 def test_probe_set_pair_counts_nest_as_prefixes():
@@ -300,33 +302,34 @@ def softmax_norms(net, x):
 
 
 @pytest.mark.parametrize("chunk", [256, 7])
-def test_build_report_equals_public_estimators(chunk):
+def test_build_report_equals_public_estimators(monkeypatch, chunk):
     # One pass over the train set gives c_lower and c_avg_norm, and the
     # probe scan skips the train points; the values are those of the
     # public estimators run separately.
+    monkeypatch.setattr(linalg, "ROW_CHUNK", chunk)
     net = init_ff(6, [9, 8], 4, seed=20)
     rng = make_rng(20, 30)
     tr = rng.standard_normal((25, 6))
     te = rng.standard_normal((10, 6))
     probe = ProbeSet(tr, te, pair_count=12, seed=2)
 
-    plain = build_report(net, tr, {}, TIGHT, probe=probe, chunk=chunk)
-    c_lower, c_avg, _ = lower_bound(net, tr, chunk)
+    plain = build_report(net, tr, {}, TIGHT, probe=probe)
+    c_lower, c_avg, _ = lower_bound(net, tr)
     assert (plain.c_lower, plain.c_avg_norm) == (c_lower, c_avg)
-    assert plain.c_probe == max(probe_bound(net, probe, chunk), c_lower)
+    assert plain.c_probe == max(probe_bound(net, probe), c_lower)
 
-    comp = build_report(net, tr, {}, TIGHT, probe=probe, softmax_composed=True, chunk=chunk)
-    assert comp.c_lower == softmax_composed_lower_bound(net, tr, chunk)
+    comp = build_report(net, tr, {}, TIGHT, probe=probe, softmax_composed=True)
+    assert comp.c_lower == softmax_composed_lower_bound(net, tr)
     assert comp.c_avg_norm == pytest.approx(softmax_norms(net, tr).mean(), rel=1e-12)
-    probe_sup = max(softmax_composed_lower_bound(net, b, chunk) for b in probe.batches(chunk))
+    probe_sup = max(softmax_composed_lower_bound(net, b) for b in probe.batches())
     assert comp.c_probe == max(probe_sup, comp.c_lower)
-    want = max(softmax_norms(net, b).max() for b in probe.batches(chunk))
+    want = max(softmax_norms(net, b).max() for b in probe.batches())
     assert comp.c_probe == pytest.approx(want, rel=1e-12)
 
     # A probe whose train part is not the report's sample set is scanned
     # whole: here the sup sits on those train points.
     bases = ProbeSet(tr, te, pair_count=0, seed=2)
-    other = build_report(net, te, {}, TIGHT, probe=bases, chunk=chunk)
+    other = build_report(net, te, {}, TIGHT, probe=bases)
     assert other.c_probe == c_lower > other.c_lower
 
 
@@ -338,8 +341,8 @@ def test_build_report_keeps_one_jacobian_stream(monkeypatch, softmax_composed):
     rng = make_rng(21, 30)
     tr = rng.standard_normal((25, 6))
     probe = ProbeSet(tr, rng.standard_normal((10, 6)), pair_count=12, seed=2)
-    want = build_report(net, tr, {}, TIGHT, probe=probe, softmax_composed=softmax_composed,
-                        chunk=7)
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 7)
+    want = build_report(net, tr, {}, TIGHT, probe=probe, softmax_composed=softmax_composed)
 
     workspaces = []
     chunks = []
@@ -356,10 +359,9 @@ def test_build_report_keeps_one_jacobian_stream(monkeypatch, softmax_composed):
     original = models.FFReluNet.input_jacobians
     monkeypatch.setattr(models, "Depth1Workspace", CountedWorkspace)
     monkeypatch.setattr(models.FFReluNet, "input_jacobians", counted_jacobians)
-    got = build_report(net, tr, {}, TIGHT, probe=probe, softmax_composed=softmax_composed,
-                       chunk=7)
+    got = build_report(net, tr, {}, TIGHT, probe=probe, softmax_composed=softmax_composed)
     assert len(workspaces) == 1
-    assert chunks == [len(b) for b in [*probe.batches(7)]]
+    assert chunks == [len(b) for b in probe.batches()]
     assert got.to_json() == want.to_json()
 
 

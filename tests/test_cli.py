@@ -141,6 +141,19 @@ def test_config_error_paths_exit_one(tmp_path, capsys):
                      "--out", out]) == 2
     assert "batch_size 1000 not in" in capsys.readouterr().err
     assert not out.exists()
+    # x' is resolved against the 20-point test set before anything trains.
+    for xprime in ("centroid", "test_point", "test_point:x", "test_point:1.5",
+                   "test_point:-1", "test_point:20", "test_point:5000"):
+        assert run_main(["biasvar", "--config", cfg_path, "--xprime", xprime,
+                         "--out", out]) == 1
+        assert "xprime_kind" in capsys.readouterr().err
+        assert not out.exists()
+    # The probe set is sized by `bounds` flags; the config keys are gone.
+    for key in ("probe_pairs", "probe_seed"):
+        legacy = tmp_path / f"{key}.json"
+        legacy.write_text(json.dumps({key: 10}))
+        assert run_main(["train", "--config", legacy, "--out", out]) == 1
+        assert "unknown config key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand", ["train", "biasvar"])
@@ -256,6 +269,11 @@ def test_bounds_missing_inputs(tmp_path, trained_checkpoint, capsys):
                      "--data", tmp_path / "nothing"]) == 1
     assert "data reference not found" in capsys.readouterr().err
     assert run_main(["bounds"]) == 1  # required flags missing
+    capsys.readouterr()
+    # A negative pair count is a configuration error, caught at parsing.
+    assert run_main(["bounds", "--checkpoint", trained_checkpoint, "--data", "synthetic",
+                     "--probe", "--pairs-per-lambda", "-1"]) == 1
+    assert "--pairs-per-lambda" in capsys.readouterr().err
 
 
 def test_bounds_runtime_failure_exits_two(tmp_path, capsys):
@@ -348,7 +366,7 @@ def test_biasvar_xprime_variants(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["xprime_kind"] == "test_point:0"
     assert run_main(["biasvar", "--config", cfg_path, "--out", out,
-                     "--xprime", "centroid"]) == 2
+                     "--xprime", "centroid"]) == 1
 
 
 def test_biasvar_honours_depth(tmp_path, monkeypatch):

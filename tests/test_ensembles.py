@@ -21,6 +21,7 @@ from liptrack.ensembles import (
     variance_bound,
     write_biasvar_csv,
 )
+from liptrack import linalg
 from liptrack.harness import ExperimentConfig
 from liptrack.linalg import PowerIterSettings, make_rng, svd_oracle
 from liptrack.models import init_ff
@@ -83,12 +84,13 @@ def test_decompose_matches_double_loop_oracle():
     assert expected == pytest.approx(want_loss, rel=1e-12)
 
 
-def test_decompose_additive_identity_and_chunking():
+def test_decompose_additive_identity_and_chunking(monkeypatch):
     e = random_ensemble(n_members=4, base_seed=5)
     test = small_test_set(n=33, seed=2)
     bias_sq, variance, expected = decompose(e, test)
     assert bias_sq + variance == pytest.approx(expected, rel=1e-12)
-    b2, v2, e2 = decompose(e, test, chunk=7)
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 7)
+    b2, v2, e2 = decompose(e, test)
     assert (b2, v2, e2) == (pytest.approx(bias_sq, rel=1e-12),
                             pytest.approx(variance, rel=1e-12),
                             pytest.approx(expected, rel=1e-12))
@@ -136,7 +138,7 @@ def test_ensemble_lipschitz_lower_jensen_inequality():
         ensemble_lipschitz_lower(e, np.zeros((0, 8)))
 
 
-def test_ensemble_lipschitz_lower_matches_separate_passes():
+def test_ensemble_lipschitz_lower_matches_separate_passes(monkeypatch):
     # One Jacobian pass per member and chunk feeds both estimates; the
     # values equal the mean-Jacobian sup and the mean of each member's own
     # lower_bound over the same chunks, bit for bit.  The members are
@@ -148,13 +150,14 @@ def test_ensemble_lipschitz_lower_matches_separate_passes():
               make_rng(4, 40).standard_normal((300, 40)), (128,))]
     for e, x, chunks in cases:
         for chunk in chunks:
+            monkeypatch.setattr(linalg, "ROW_CHUNK", chunk)
             best = 0.0
             for lo in range(0, len(x), chunk):
                 xb = x[lo:lo + chunk]
                 mean_jac = sum(m.input_jacobians(xb) for m in e.members) / e.size
                 best = max(best, float(batch_spectral_norms(mean_jac).max()))
-            per_seed = [lower_bound(m, x, chunk)[0] for m in e.members]
-            assert ensemble_lipschitz_lower(e, x, chunk) == (best, float(np.mean(per_seed)))
+            per_seed = [lower_bound(m, x)[0] for m in e.members]
+            assert ensemble_lipschitz_lower(e, x) == (best, float(np.mean(per_seed)))
 
 
 def test_variance_at_and_mean_sq_dist_oracles():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liptrack import linalg
 from liptrack.linalg import (ORACLE_DIM_CAP, PowerIterSettings, make_rng,
-                             materialize_operator, spectral_norm_dense,
+                             materialize_operator, row_chunks, spectral_norm_dense,
                              spectral_norm_operator, svd_oracle, vector_dot,
                              vector_norm)
 
@@ -149,3 +150,16 @@ def test_vector_dot_blocks_long_arrays():
     blocks = [slice(0, 10000), slice(10000, 20000), slice(20000, None)]
     assert vector_dot(a, b) == sum(float(fa[s] @ fb[s]) for s in blocks)
     assert vector_dot(a, b) == pytest.approx(float(np.vdot(a, b)), rel=1e-12)
+
+
+def test_row_chunks_are_aligned_views(monkeypatch):
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 4)
+    x = np.arange(30.0).reshape(10, 3)
+    y = np.arange(10)
+    pairs = list(row_chunks(x, y))
+    assert [len(xb) for xb, _ in pairs] == [4, 4, 2]
+    assert all(np.shares_memory(xb, x) and np.array_equal(xb[:, 0] / 3, yb) for xb, yb in pairs)
+    assert [len(xb) for xb in row_chunks(x)] == [4, 4, 2]  # one array: the slices themselves
+    assert list(row_chunks(x[:0])) == []
+    with pytest.raises(ValueError, match="row counts differ"):
+        list(row_chunks(x, y[:9]))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptrack.linalg import make_rng
+from liptrack import linalg
+from liptrack.linalg import make_rng, vector_norm
 from liptrack.models import FFReluNet, init_ff
 from liptrack.training import (
     Adam,
@@ -93,13 +94,15 @@ def test_loss_and_grad_matches_finite_differences(kind):
             np.testing.assert_allclose(fd, grads[li][idx], rtol=1e-5, atol=1e-8)
 
 
-def test_param_grad_chunking_is_exact():
+def test_param_grad_chunking_is_exact(monkeypatch):
     net = init_ff(6, [8], 3, seed=23)
     rng = make_rng(23, 21)
     x = rng.standard_normal((37, 6))
     labels = rng.integers(0, 3, size=37)
-    whole_loss, whole = param_grad(net, x, labels, "ce", chunk=64)
-    split_loss, split = param_grad(net, x, labels, "ce", chunk=5)
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 64)
+    whole_loss, whole = param_grad(net, x, labels, "ce")
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 5)
+    split_loss, split = param_grad(net, x, labels, "ce")
     assert whole_loss == pytest.approx(split_loss, rel=1e-13)
     np.testing.assert_allclose(split, whole, rtol=1e-12, atol=1e-15)
     mean_loss, grads = loss_and_grad(net, x, labels, "ce")
@@ -108,13 +111,15 @@ def test_param_grad_chunking_is_exact():
     np.testing.assert_allclose(whole, flat, rtol=1e-12, atol=1e-15)
 
 
-def test_dataset_loss_chunk_invariance():
+def test_dataset_loss_chunk_invariance(monkeypatch):
     net = init_ff(6, [8], 3, seed=29)
     rng = make_rng(29, 22)
     x = rng.standard_normal((23, 6))
     labels = rng.integers(0, 3, size=23)
-    a = dataset_loss(net, x, labels, "mse", chunk=23)
-    b = dataset_loss(net, x, labels, "mse", chunk=4)
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 23)
+    a = dataset_loss(net, x, labels, "mse")
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 4)
+    b = dataset_loss(net, x, labels, "mse")
     assert a == pytest.approx(b, rel=1e-13)
 
 
@@ -355,11 +360,22 @@ def test_divergence_raises_with_epoch():
 def test_on_epoch_callback_fires_in_order():
     data = tiny_pair()
     net = init_ff(12, [16], 4, seed=7)
+    loss0, grad0 = param_grad(net, data.train_x, data.train_y, "ce")
     seen = []
-    train(net, data, "ce", Sgd(0.05), "constant", StopRule(float("inf"), 0, 3),
-          batch_size=32, seed=0,
-          on_epoch=lambda epoch, n, rec: seen.append((epoch, rec.epoch, n is net)))
-    assert seen == [(1, 1, True), (2, 2, True), (3, 3, True)]
+    records = []
+
+    def on_epoch(epoch, n, rec):
+        seen.append((epoch, rec.epoch, n is net))
+        records.append(rec)
+
+    trace = train(net, data, "ce", Sgd(0.05), "constant", StopRule(float("inf"), 0, 3),
+                  batch_size=32, seed=0, on_epoch=on_epoch)
+    assert seen == [(0, 0, True), (1, 1, True), (2, 2, True), (3, 3, True)]
+    # Epoch 0 is the initial net: reported to on_epoch, not added to the trace.
+    first = records[0]
+    assert first.param_dist == 0.0
+    assert (first.train_loss, first.grad_norm) == (loss0, vector_norm(grad0))
+    assert records[1:] == trace.records
 
 
 def test_train_eta_tracks_schedule():
