@@ -98,14 +98,23 @@ def _load_data_ref(ref: str, kind: str | None):
     return build_data(cfg)
 
 
+def _training_data(cfg: ExperimentConfig):
+    """The config's data, with the batch size checked before any run dir exists."""
+    data = build_data(cfg)
+    try:
+        check_batch_size(cfg.batch_size, data.train_x.shape[0])
+    except ValueError as err:
+        raise ConfigError(str(err))
+    return data
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_train(args) -> int:
     cfg = _effective_config(args)
-    data = build_data(cfg)
-    check_batch_size(cfg.batch_size, data.train_x.shape[0])  # before the run dir exists
+    data = _training_data(cfg)
     run_dir = write_run_dir(cfg, args.out, {"subcommand": "train"})
     seed = cfg.seeds[0]
     net = cell_net(cfg, data, seed)
@@ -148,8 +157,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_biasvar(args) -> int:
     cfg = _effective_config(args)
-    data = build_data(cfg)
-    check_batch_size(cfg.batch_size, data.train_x.shape[0])  # before the run dir exists
+    data = _training_data(cfg)
     try:
         resolve_xprime(args.xprime, data.test.inputs)
     except ValueError as err:

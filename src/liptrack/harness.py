@@ -249,11 +249,13 @@ def cell_net(cfg: ExperimentConfig, data: DataPair, seed: int, axis: str = "widt
     return init_ff(data.train_x.shape[1], [width] * depth, data.num_classes, seed)
 
 
-def train_cell(cfg: ExperimentConfig, net, data: DataPair, seed: int, on_epoch=None):
-    """Train ``net`` in place with the config's loss, optimizer, schedule and stop rule."""
+def train_cell(cfg: ExperimentConfig, net, data: DataPair, seed: int, on_epoch=None,
+               eval_every: int = 1):
+    """Train ``net`` in place with the config's loss, optimizer, schedule and
+    stop rule, recording every ``eval_every``-th epoch and the final one."""
     opt = make_optimizer(cfg.optimizer, cfg.base_lr)
     return train(net, data, cfg.loss, opt, cfg.schedule, cfg.stop_rule(),
-                 cfg.batch_size, seed, on_epoch=on_epoch)
+                 cfg.batch_size, seed, on_epoch=on_epoch, eval_every=eval_every)
 
 
 def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int):
@@ -268,23 +270,17 @@ def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int):
     settings = cfg.settings()
     records = []
 
-    def log(current, rec):
+    def log(epoch, current, rec):
         c_low, c_avg, _ = lower_bound(current, data.train_x)
         records.append({
-            "config_hash": chash, "size": size, "seed": seed, "epoch": rec.epoch,
+            "config_hash": chash, "size": size, "seed": seed, "epoch": epoch,
             "train_loss": rec.train_loss, "test_loss": rec.test_loss,
             "c_lower": c_low, "c_avg_norm": c_avg,
             "c_upper": upper_bound(current, settings),
             "param_dist": rec.param_dist,
             "grad_norm": rec.grad_norm, "eta": rec.eta})
 
-    def on_epoch(epoch, current, rec):
-        if epoch % cfg.eval_every == 0:
-            log(current, rec)
-
-    final = train_cell(cell_cfg, net, data, seed, on_epoch).final
-    if final.epoch % cfg.eval_every != 0:
-        log(net, final)
+    train_cell(cell_cfg, net, data, seed, on_epoch=log, eval_every=cfg.eval_every)
     return records
 
 

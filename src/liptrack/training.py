@@ -244,10 +244,12 @@ class StopRule:
         if not 0 <= self.min_epochs <= self.max_epochs:
             raise ValueError(f"need 0 <= min_epochs <= max_epochs, got {self.min_epochs}, {self.max_epochs}")
 
+    def reads_gradient(self, epoch: int) -> bool:
+        """Whether the rule looks at this epoch's gradient norm at all."""
+        return not math.isinf(self.grad_norm_threshold) and epoch >= self.min_epochs
+
     def should_stop(self, epoch: int, grad_norm: float) -> bool:
-        if math.isinf(self.grad_norm_threshold):
-            return False
-        return epoch >= self.min_epochs and grad_norm <= self.grad_norm_threshold
+        return self.reads_gradient(epoch) and grad_norm <= self.grad_norm_threshold
 
 
 def default_stop(kind: str, min_epochs: int, max_epochs: int) -> StopRule:
@@ -305,40 +307,82 @@ def read_trace_jsonl(path) -> TrainTrace:
 # Epoch loop
 
 
+# An epoch that computes no full-train loss may skip the divergence check
+# only below this bound on an FF net's outputs.  For a zero-bias ReLU net,
+# each pre-activation entry w·a, and each partial sum of it in whatever
+# order it is summed, is at most ‖w‖‖a‖ ≤ ‖W‖_F‖a‖ in size (Cauchy–Schwarz);
+# ‖Wa‖ ≤ ‖W‖_F‖a‖ too, and a ReLU does not raise a norm.  So every entry the
+# forward pass makes is at most B = max_i ‖x_i‖ · Π_l ‖W_l‖_F, and the
+# outputs lie in [0, B].  MSE then sums n·K squares of at most (B + 1)², and
+# CE sums n terms of at most B + log K (its shifted logits lie in [-B, 0]).
+# With B < 1e100 both totals stay below about n·K·1e200, finite in float64
+# (max 1.8e308) for any n·K below 1e108, with rounding far inside the margin.
+_FINITE_LOSS_BOUND = 1e100
+
+
+def _loss_cannot_overflow(net, x_norm: float) -> bool:
+    """True when ``net``'s loss on inputs of norm at most ``x_norm`` is
+    provably finite; NaN or inf weights and every CNN give False."""
+    if net.family != "ff":
+        return False
+    bound = x_norm
+    for w in net.weights:
+        bound *= vector_norm(w)
+    return bound < _FINITE_LOSS_BOUND
+
+
 def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopRule,
           batch_size: int, seed: int,
-          on_epoch: Callable[[int, object, EpochRecord], None] | None = None) -> TrainTrace:
-    """Run the epoch loop on ``net`` in place and return the per-epoch trace.
+          on_epoch: Callable[[int, object, EpochRecord], None] | None = None,
+          eval_every: int = 1) -> TrainTrace:
+    """Run the epoch loop on ``net`` in place and return the trace of its
+    recorded epochs.
 
     Sample order is reshuffled every epoch from a generator derived from
-    ``seed``, so the whole run is reproducible.  ``on_epoch`` (if given)
-    fires with epoch 0's record of the initial net (which is not added to
-    the trace), then after each epoch's record is appended; the harness
-    uses it to evaluate bounds mid-run.
+    ``seed``, so the whole run is reproducible.  An epoch is recorded when
+    it is a multiple of ``eval_every`` or the final one (it hits
+    ``max_epochs`` or the grad-norm stop).  Only a recorded epoch computes
+    the test loss and the distance from the initial weights, and only a
+    recorded epoch or one whose gradient norm the stop rule reads computes
+    the full-train gradient; the weights and the recorded values are the
+    same at every cadence.  Every epoch checks the full-train loss for
+    divergence, or proves it finite (``_FINITE_LOSS_BOUND``), so
+    ``DivergenceError`` names the same epoch at every cadence.
+    ``on_epoch`` (if given) fires with epoch 0's record of the initial net
+    (which is not added to the trace), then after each recorded epoch's
+    record is appended; the harness uses it to evaluate bounds mid-run.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    if eval_every < 1:
+        raise ValueError(f"eval_every must be >= 1, got {eval_every}")
     x, y = dataset.train_x, dataset.train_y
     n = x.shape[0]
     check_batch_size(batch_size, n)
     schedule = LrSchedule(schedule_variant, updates_per_epoch(n, batch_size))
     rng = make_rng(seed, _SHUFFLE_STREAM)
+    x_norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", x, x))))  # max_i ‖x_i‖
 
-    def evaluate(epoch: int, eta: float, param_dist: float, started: float) -> EpochRecord:
+    def train_loss_and_grad_norm(epoch: int) -> tuple[float, float]:
         train_loss, grad = param_grad(net, x, y, kind)
         if epoch and not math.isfinite(train_loss):  # epoch 0 has taken no step
             raise DivergenceError(epoch)
+        return train_loss, vector_norm(grad)
+
+    def record(epoch: int, eta: float, train_loss: float, grad_norm: float,
+               param_dist: float, started: float) -> EpochRecord:
         return EpochRecord(
             epoch=epoch, train_loss=train_loss,
             test_loss=dataset_loss(net, dataset.test_x, dataset.test_y, kind),
-            grad_norm=vector_norm(grad), eta=eta, param_dist=param_dist,
+            grad_norm=grad_norm, eta=eta, param_dist=param_dist,
             wall_ms=(time.perf_counter() - started) * 1e3)
 
     trace = TrainTrace()
     update = 0
     coeff = schedule.coeff(0)
     if on_epoch is not None:
-        on_epoch(0, net, evaluate(0, coeff, 0.0, time.perf_counter()))
+        started = time.perf_counter()
+        on_epoch(0, net, record(0, coeff, *train_loss_and_grad_norm(0), 0.0, started))
     # Copied after epoch 0's evaluation: before it, it raised a width sweep's peak RSS by 1 MB.
     theta0 = net.param_vector()
     for epoch in range(1, stop.max_epochs + 1):
@@ -352,13 +396,22 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
                 raise DivergenceError(epoch)
             optimizer.step(net.weight_arrays(), grads, coeff)
             update += 1
-        record = evaluate(epoch, coeff, vector_norm(net.param_vector() - theta0), started)
-        trace.records.append(record)
-        if on_epoch is not None:
-            on_epoch(epoch, net, record)
-        if stop.should_stop(epoch, record.grad_norm):
-            trace.stop_reason = "grad_norm"
-            break
+        on_cadence = epoch % eval_every == 0 or epoch == stop.max_epochs
+        if on_cadence or stop.reads_gradient(epoch):
+            train_loss, grad_norm = train_loss_and_grad_norm(epoch)
+            stopping = stop.should_stop(epoch, grad_norm)
+            if on_cadence or stopping:
+                rec = record(epoch, coeff, train_loss, grad_norm,
+                             vector_norm(net.param_vector() - theta0), started)
+                trace.records.append(rec)
+                if on_epoch is not None:
+                    on_epoch(epoch, net, rec)
+            if stopping:
+                trace.stop_reason = "grad_norm"
+                break
+        elif (not _loss_cannot_overflow(net, x_norm)
+              and not math.isfinite(dataset_loss(net, x, y, kind))):
+            raise DivergenceError(epoch)
     else:
         trace.stop_reason = "max_epochs"
     return trace

@@ -134,13 +134,12 @@ def test_config_error_paths_exit_one(tmp_path, capsys):
                          "--out", out]) == 1
         assert "bad config value" in capsys.readouterr().err
         assert not out.exists()
-    assert run_main(["train", "--config", cfg_path, "--set", "batch_size=1000",
-                     "--out", out]) == 2  # validated at runtime, not parse time
-    assert not out.exists()
-    assert run_main(["biasvar", "--config", cfg_path, "--set", "batch_size=1000",
-                     "--out", out]) == 2
-    assert "batch_size 1000 not in" in capsys.readouterr().err
-    assert not out.exists()
+    # batch_size is checked against the built train set, before any run dir.
+    for subcommand in ("train", "biasvar"):
+        assert run_main([subcommand, "--config", cfg_path, "--set", "batch_size=1000",
+                         "--out", out]) == 1
+        assert "config error: batch_size 1000 not in" in capsys.readouterr().err
+        assert not out.exists()
     # x' is resolved against the 20-point test set before anything trains.
     for xprime in ("centroid", "test_point", "test_point:x", "test_point:1.5",
                    "test_point:-1", "test_point:20", "test_point:5000"):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptrack import linalg
+from liptrack import linalg, training
+from liptrack.datasets import DataPair, synthetic_fallback
 from liptrack.linalg import make_rng, vector_norm
-from liptrack.models import FFReluNet, init_ff
+from liptrack.models import FFReluNet, init_cnn, init_ff
 from liptrack.training import (
     Adam,
     DivergenceError,
@@ -259,8 +260,10 @@ def test_stop_rule_semantics():
     assert not rule.should_stop(2, 1e-9)
     assert rule.should_stop(3, 0.01)
     assert not rule.should_stop(3, 0.0100001)
+    assert [rule.reads_gradient(e) for e in (2, 3, 10)] == [False, True, True]
     off = StopRule(float("inf"), 0, 10)
     assert not off.should_stop(10, 0.0)
+    assert not off.reads_gradient(10)
 
 
 def test_default_stop_thresholds():
@@ -355,6 +358,172 @@ def test_divergence_raises_with_epoch():
             train(net, data, "mse", Sgd(0.1), "constant",
                   StopRule(float("inf"), 0, 20), batch_size=32, seed=0)
     assert exc.value.epoch == 1
+
+
+class _ScaleOnce(Sgd):
+    """SGD that multiplies every weight by ``factor`` right after update ``at``
+    (0-based): a stand-in for a step that blows the weights up."""
+
+    def __init__(self, base_lr: float, at: int, factor: float):
+        super().__init__(base_lr)
+        self.at, self.factor, self.updates = at, factor, 0
+
+    def step(self, arrays, grads, coeff):
+        super().step(arrays, grads, coeff)
+        if self.updates == self.at:
+            for a in arrays:
+                a *= self.factor
+        self.updates += 1
+
+
+def test_divergence_at_end_of_skipped_epoch():
+    # 96 samples, batch 32: 3 updates per epoch, so update 5 is epoch 2's
+    # last.  Epoch 2 is off the cadence and the stop rule never reads a
+    # gradient, so no param_grad runs there; the output bound overflows and
+    # the train-set forward pass finds the loss non-finite, as the full-train
+    # check of an every-epoch cadence does.
+    data = tiny_pair()
+    net = init_ff(12, [16], 4, seed=6)
+    with pytest.raises(DivergenceError) as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            train(net, data, "mse", _ScaleOnce(0.1, at=5, factor=1e200), "constant",
+                  StopRule(float("inf"), 0, 20), batch_size=32, seed=0, eval_every=10)
+    assert exc.value.epoch == 2
+
+
+def test_large_but_finite_weights_do_not_raise(monkeypatch):
+    # Scaling both layers by 1e55 puts the output bound past the limit, so
+    # the skipped epoch 2 runs the train-set forward pass; the outputs
+    # (about 1e110) and the loss stay finite, so training goes on.  With a
+    # zero learning rate the scaled weights are kept to the end.
+    data = tiny_pair()
+    net = init_ff(12, [16], 4, seed=6)
+    x_norm = float(np.max(np.linalg.norm(data.train_x, axis=1)))
+    assert training._loss_cannot_overflow(net, x_norm)
+    train_passes = []
+    real_loss = training.dataset_loss
+
+    def counting_loss(net_, x, labels, kind):
+        if x is data.train_x:
+            train_passes.append(opt.updates // 3)
+        return real_loss(net_, x, labels, kind)
+
+    monkeypatch.setattr(training, "dataset_loss", counting_loss)
+    opt = _ScaleOnce(0.0, at=5, factor=1e55)
+    with np.errstate(over="ignore"):
+        trace = train(net, data, "mse", opt, "constant", StopRule(float("inf"), 0, 3),
+                      batch_size=32, seed=0, eval_every=10)
+    assert not training._loss_cannot_overflow(net, x_norm)
+    assert train_passes == [2]
+    assert [r.epoch for r in trace.records] == [3]
+    assert math.isfinite(trace.final.train_loss) and trace.final.train_loss > 1e200
+
+
+def _stripped(records):
+    out = []
+    for rec in records:
+        d = rec.to_dict()
+        d.pop("wall_ms")
+        out.append(d)
+    return out
+
+
+def _cnn_pair():
+    train_d, test_d = synthetic_fallback(8, 4, 3072, 10, seed=3)
+    return DataPair(train_d, test_d)
+
+
+CADENCE_CASES = [
+    # (net factory, data factory, kind, stop rule, cadence, recorded epochs)
+    (lambda: init_ff(12, [16], 4, seed=9), tiny_pair, "ce",
+     StopRule(float("inf"), 0, 7), 3, [3, 6, 7]),
+    # The stop rule reads gradients from epoch 5 and its huge threshold is
+    # met there: the run stops off the cadence, and epoch 5 is recorded.
+    (lambda: init_ff(12, [16], 4, seed=9), tiny_pair, "mse",
+     StopRule(1e9, 5, 20), 3, [3, 5]),
+    (lambda: init_ff(12, [16, 8], 4, seed=10), tiny_pair, "mse",
+     StopRule(float("inf"), 0, 5), 2, [2, 4, 5]),
+    (lambda: init_cnn(1, seed=2), _cnn_pair, "ce",
+     StopRule(float("inf"), 0, 4), 3, [3, 4]),
+    (lambda: init_cnn(1, seed=2), _cnn_pair, "ce",
+     StopRule(1e9, 2, 6), 4, [2]),
+]
+
+
+@pytest.mark.parametrize("make_net, make_data, kind, stop, every, recorded", CADENCE_CASES)
+def test_cadence_leaves_weights_and_recorded_values_unchanged(make_net, make_data, kind, stop,
+                                                               every, recorded):
+    data = make_data()
+    batch = 4 if data.train_x.shape[0] == 8 else 32
+    runs = {}
+    for k in (1, every):
+        net = make_net()
+        seen = []
+        trace = train(net, data, kind, Sgd(0.05), "constant", stop, batch_size=batch, seed=4,
+                      on_epoch=lambda epoch, _net, rec: seen.append((epoch, rec)),
+                      eval_every=k)
+        runs[k] = (net.param_vector(), trace, seen)
+    (theta_all, trace_all, seen_all), (theta, trace, seen) = runs[1], runs[every]
+    assert np.array_equal(theta, theta_all)
+    assert [r.epoch for r in trace.records] == recorded
+    assert trace.stop_reason == trace_all.stop_reason
+    kept = [r for r in trace_all.records if r.epoch in recorded]
+    assert _stripped(trace.records) == _stripped(kept)
+    # on_epoch sees epoch 0 and exactly the recorded epochs.
+    assert [e for e, _ in seen] == [0] + recorded
+    assert _stripped(r for _, r in seen) == _stripped([seen_all[0][1]] + kept)
+
+
+CALL_CASES = [
+    # (net factory, data factory, stop rule, cadence, on_epoch given,
+    #  param_grad epochs, test-loss epochs, train-loss epochs)
+    (lambda: init_ff(12, [16], 4, seed=9), tiny_pair,
+     StopRule(float("inf"), 0, 7), 3, True, [0, 3, 6, 7], [0, 3, 6, 7], []),
+    # The rule reads gradients from epoch 5 on; the threshold is never met.
+    (lambda: init_ff(12, [16], 4, seed=9), tiny_pair,
+     StopRule(1e-12, 5, 7), 3, False, [3, 5, 6, 7], [3, 6, 7], []),
+    # The stop at epoch 5 reuses that epoch's gradient for its record.
+    (lambda: init_ff(12, [16], 4, seed=9), tiny_pair,
+     StopRule(1e9, 5, 20), 3, False, [3, 5], [3, 5], []),
+    # No output bound for a CNN: skipped epochs run the train-set forward pass.
+    (lambda: init_cnn(1, seed=2), _cnn_pair,
+     StopRule(float("inf"), 0, 4), 3, False, [3, 4], [3, 4], [1, 2]),
+]
+
+
+@pytest.mark.parametrize("make_net, make_data, stop, every, with_callback, grad_epochs, "
+                         "test_epochs, train_epochs", CALL_CASES)
+def test_cadence_pins_full_set_passes(monkeypatch, make_net, make_data, stop, every,
+                                      with_callback, grad_epochs, test_epochs, train_epochs):
+    data = make_data()
+    n = data.train_x.shape[0]
+    batch = 4 if n == 8 else 32
+    upe = updates_per_epoch(n, batch)
+    opt = _ScaleOnce(0.05, at=-1, factor=1.0)
+    calls = {"param_grad": [], "test": [], "train": []}
+    real_grad, real_loss = training.param_grad, training.dataset_loss
+
+    def counting_grad(net, x, labels, kind):
+        calls["param_grad"].append(opt.updates // upe)
+        return real_grad(net, x, labels, kind)
+
+    def counting_loss(net, x, labels, kind):
+        calls["train" if x is data.train_x else "test"].append(opt.updates // upe)
+        return real_loss(net, x, labels, kind)
+
+    monkeypatch.setattr(training, "param_grad", counting_grad)
+    monkeypatch.setattr(training, "dataset_loss", counting_loss)
+    on_epoch = (lambda *args: None) if with_callback else None
+    train(make_net(), data, "ce", opt, "constant", stop, batch_size=batch, seed=4,
+          on_epoch=on_epoch, eval_every=every)
+    assert calls == {"param_grad": grad_epochs, "test": test_epochs, "train": train_epochs}
+
+
+def test_eval_every_validation():
+    data = tiny_pair()
+    with pytest.raises(ValueError, match="eval_every"):
+        train(init_ff(12, [16], 4, seed=1), data, "ce", Sgd(0.1), "constant",
+              StopRule(float("inf"), 0, 1), batch_size=32, seed=0, eval_every=0)
 
 
 def test_on_epoch_callback_fires_in_order():
