@@ -342,6 +342,8 @@ def test_train_validation_errors():
         train(net, data, "ce", Sgd(0.1), "constant", stop, batch_size=0, seed=0)
     with pytest.raises(ValueError, match="batch_size"):
         train(net, data, "ce", Sgd(0.1), "constant", stop, batch_size=97, seed=0)
+    with pytest.raises(ValueError, match="eval_every"):
+        train(net, data, "ce", Sgd(0.1), "constant", stop, batch_size=32, seed=0, eval_every=0)
 
 
 def test_divergence_raises_with_epoch():
@@ -499,7 +501,7 @@ def test_cadence_pins_full_set_passes(monkeypatch, make_net, make_data, stop, ev
     n = data.train_x.shape[0]
     batch = 4 if n == 8 else 32
     upe = updates_per_epoch(n, batch)
-    opt = _ScaleOnce(0.05, at=-1, factor=1.0)
+    opt = _ScaleOnce(0.05, at=-1, factor=1.0)  # plain SGD that counts its updates
     calls = {"param_grad": [], "test": [], "train": []}
     real_grad, real_loss = training.param_grad, training.dataset_loss
 
@@ -517,13 +519,6 @@ def test_cadence_pins_full_set_passes(monkeypatch, make_net, make_data, stop, ev
     train(make_net(), data, "ce", opt, "constant", stop, batch_size=batch, seed=4,
           on_epoch=on_epoch, eval_every=every)
     assert calls == {"param_grad": grad_epochs, "test": test_epochs, "train": train_epochs}
-
-
-def test_eval_every_validation():
-    data = tiny_pair()
-    with pytest.raises(ValueError, match="eval_every"):
-        train(init_ff(12, [16], 4, seed=1), data, "ce", Sgd(0.1), "constant",
-              StopRule(float("inf"), 0, 1), batch_size=32, seed=0, eval_every=0)
 
 
 def test_on_epoch_callback_fires_in_order():
