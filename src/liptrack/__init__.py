@@ -15,7 +15,7 @@ from .linalg import (ORACLE_DIM_CAP, PowerIterSettings, make_rng, materialize_op
 from .models import (CnnNet, FFReluNet, conv2d, conv2d_adjoint, conv_spectral_norm,
                      init_cnn, init_ff, load_checkpoint, param_distance, save_checkpoint)
 from .training import (Adam, DivergenceError, EpochRecord, LrSchedule, Sgd, StopRule,
-                       TrainTrace, batch_loss, default_stop, loss_and_grad, make_optimizer,
+                       TrainTrace, dataset_loss, default_stop, loss_and_grad, make_optimizer,
                        one_hot, param_grad, schedule_coeff, train, updates_per_epoch)
 from .datasets import (DataPair, Dataset, load_cifar10, load_mnist1d, read_cifar_batch,
                        replay_mutations, shuffle_labels, subsample, synthetic_fallback)
@@ -26,7 +26,7 @@ from .ensembles import (BoundConstants, SeedEnsemble, build_biasvar_report, deco
                         train_ensemble, upper_estimates, variance_bound, write_biasvar_csv)
 from .harness import (ExperimentConfig, apply_overrides, apply_profile, build_data, cell_net,
                       cnn_param_count, emit_plot_data, ff_param_count,
-                      interpolation_threshold, load_config, run_cell, run_sweep, summarize,
+                      interpolation_threshold, run_cell, run_sweep, summarize,
                       train_cell, write_failures, write_run_dir)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

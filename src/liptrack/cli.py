@@ -114,6 +114,8 @@ def _training_data(cfg: ExperimentConfig):
 
 def _cmd_train(args) -> int:
     cfg = _effective_config(args)
+    if cfg.max_epochs < 1:  # the trace and checkpoint describe the last trained epoch
+        raise ConfigError(f"train needs max_epochs >= 1, got {cfg.max_epochs}")
     data = _training_data(cfg)
     run_dir = write_run_dir(cfg, args.out, {"subcommand": "train"})
     seed = cfg.seeds[0]

@@ -47,12 +47,6 @@ class SeedEnsemble:
     def size(self) -> int:
         return len(self.members)
 
-    def mean_forward(self, x: np.ndarray) -> np.ndarray:
-        out = self.members[0].forward(x)
-        for m in self.members[1:]:
-            out = out + m.forward(x)
-        return out / self.size
-
 
 def decompose(e: SeedEnsemble, test_set):
     """Split expected test MSE into bias² and variance over the seed draw.

@@ -72,7 +72,7 @@ class ExperimentConfig:
     batch_size: int = 512
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3])
     eval_every: int = 10
-    power_iter: dict = field(default_factory=lambda: {"max_iters": 1000, "rel_tol": 1e-9, "seed": 0})
+    power_iter: dict = field(default_factory=lambda: asdict(PowerIterSettings()))
 
     def __post_init__(self):
         self.settings()  # bad power_iter values fail here, before any run starts
@@ -101,14 +101,6 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: not valid JSON ({err})") from None
-    return ExperimentConfig.from_dict(raw)
 
 
 def apply_overrides(d: dict, overrides: dict) -> dict:

@@ -57,7 +57,7 @@ class PowerIterSettings:
     it on near-degenerate top singular values.
     """
 
-    max_iters: int = 10000
+    max_iters: int = 1000
     rel_tol: float = 1e-9
     seed: int = 0
 
@@ -235,11 +235,25 @@ def _top_gram_eigenvalue(
     return max(rho, 0.0)
 
 
-def gram_spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Exact spectral norms of a (n, k, d) stack from its smaller-side Grams."""
+def _grams(mats: np.ndarray) -> np.ndarray:
     tr = mats.transpose(0, 2, 1)
-    gram = mats @ tr if mats.shape[1] <= mats.shape[2] else tr @ mats
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
+    return mats @ tr if mats.shape[1] <= mats.shape[2] else tr @ mats
+
+
+def gram_spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Exact spectral norms of a (n, k, d) stack from its smaller-side Grams.
+
+    A Gram overflows once entries pass about 1e154.  Only those matrices are
+    redone, divided by a power of two at least their largest entry (exact,
+    so each norm is the scaled matrix's norm times that power)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _grams(mats)
+    scale = np.ones(len(mats))
+    overflow = ~np.isfinite(gram).all(axis=(1, 2))
+    if overflow.any():
+        scale[overflow] = np.ldexp(1.0, np.frexp(np.abs(mats[overflow]).max(axis=(1, 2)))[1])
+        gram[overflow] = _grams(mats[overflow] / scale[overflow, None, None])
+    return scale * np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
 
 
 def spectral_norm_dense(m: np.ndarray, settings: PowerIterSettings = PowerIterSettings()) -> float:

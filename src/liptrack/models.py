@@ -15,8 +15,9 @@ the output masks; no (n, out, width) tensor is built.  That matrix and the
 chunk's row buffers live in a :class:`Depth1Workspace`.  A stream of chunks
 over one net with fixed weights (:func:`jacobian_stream`, used by the
 bounds and ensembles) builds one and reuses it, so each result is valid
-only until the stream's next call.  Deeper FF nets sweep the output rows
-back layer by layer; the conv net runs one backward sweep per output row.
+only until the stream's next call.  Deeper FF nets and the conv net sweep
+seed rows back through their family's one backward loop, which also gives
+the training gradients.  Every 3x3 conv is one :func:`_image_conv` per image.
 """
 
 from __future__ import annotations
@@ -149,25 +150,30 @@ class FFReluNet(_ZeroBiasNet):
             acts.append(a)
         return a, (acts, pres)
 
+    def _backward(self, cache, g: np.ndarray, grads: list | None = None) -> np.ndarray:
+        """Sweep cotangent rows, (n, out) or seed rows (n, m, out), back to the
+        input; or, into ``grads``, the weight gradients of (n, out) rows."""
+        acts, pres = cache
+        for i in range(len(self.weights) - 1, -1, -1):
+            # Each sample's mask, broadcast over its seed rows, is freed before the GEMMs
+            # (held across them, it multiplied SGD steps' page faults: glibc trimming).
+            g = g * (pres[i] > 0 if g.ndim == 2 else (pres[i] > 0)[:, None, :])
+            if grads is not None:
+                grads[i] = g.T @ acts[i]
+                if i == 0:
+                    break
+            w = self.weights[i]
+            g = (g.reshape(-1, w.shape[0]) @ w).reshape(*g.shape[:-1], w.shape[1])
+        return g
+
     def backprop_params(self, cache, dout: np.ndarray) -> list[np.ndarray]:
         """Gradients of a scalar loss w.r.t. each weight, given d(loss)/d(output)."""
-        acts, pres = cache
-        g = dout
         grads: list[np.ndarray] = [None] * len(self.weights)
-        for i in range(len(self.weights) - 1, -1, -1):
-            g = g * (pres[i] > 0)
-            grads[i] = g.T @ acts[i]
-            if i > 0:
-                g = g @ self.weights[i]
+        self._backward(cache, dout, grads)
         return grads
 
     def backprop_input(self, cache, dout: np.ndarray) -> np.ndarray:
-        acts, pres = cache
-        g = dout
-        for i in range(len(self.weights) - 1, -1, -1):
-            g = g * (pres[i] > 0)
-            g = g @ self.weights[i]
-        return g
+        return self._backward(cache, dout)
 
     def input_jacobians(self, x: np.ndarray,
                         cotangents: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -191,33 +197,19 @@ class FFReluNet(_ZeroBiasNet):
         workspace serves this call alone.
 
         Deeper nets use reverse mode: one forward pass records the ReLU
-        masks, then the output rows of all ``n`` samples are swept back
-        together, one ``(n·out, width) @ W`` product per layer.
+        masks, then :meth:`backprop_input` sweeps the seed rows (identity
+        rows without ``cotangents``) of all ``n`` samples back together, one
+        ``(n·m, width) @ W`` product per layer.
 
         ReLU units exactly at zero count as inactive, so the Jacobian at
         the origin is the zero matrix.
         """
-        a = self._check_input(np.atleast_2d(x))
         if len(self.weights) == 2:
             if workspace is None:
                 workspace = Depth1Workspace(self)
-            return self._depth1_jacobians(a, cotangents, workspace)
-        masks = []
-        for w in self.weights:
-            z = a @ w.T
-            masks.append(z > 0)
-            a = _relu(z)
-        n = a.shape[0]
-        last = self.weights[-1]
-        if cotangents is None:
-            g = masks[-1][:, :, None] * last[None, :, :]
-        else:
-            seeds = cotangents(a) * masks[-1][:, None, :]
-            g = (seeds.reshape(-1, last.shape[0]) @ last).reshape(n, -1, last.shape[1])
-        for w, m in zip(self.weights[-2::-1], masks[-2::-1]):
-            g *= m[:, None, :]
-            g = (g.reshape(-1, w.shape[0]) @ w).reshape(n, -1, w.shape[1])
-        return g
+            return self._depth1_jacobians(self._check_input(np.atleast_2d(x)), cotangents, workspace)
+        out, cache = self.forward_cached(x)
+        return self.backprop_input(cache, _seed_rows(out, cotangents))
 
     def _depth1_jacobians(self, x: np.ndarray, cotangents, ws: "Depth1Workspace") -> np.ndarray:
         w1, w2 = self.weights
@@ -238,12 +230,6 @@ class FFReluNet(_ZeroBiasNet):
             return jac
         seeds = cotangents(out) * active[:, None, :]
         return np.matmul(seeds, jac, out=ws.rows("seeded", n, seeds.shape[1], self.input_dim))
-
-    def input_jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError("input_jacobian takes a single sample; use input_jacobians for batches")
-        return self.input_jacobians(x[None, :])[0]
 
     def layer_spectral_norms(self, settings: PowerIterSettings = PowerIterSettings()) -> list[float]:
         """2-norm of every linear layer, exact up to ``EXACT_SIDE_CAP`` on the
@@ -273,6 +259,15 @@ class Depth1Workspace:
         if buf is None or buf.shape[0] < n or buf.shape[1:] != shape:
             buf = self._buffers[name] = np.empty((n, *shape))
         return buf[:n]
+
+
+def _seed_rows(out: np.ndarray, cotangents: Callable[[np.ndarray], np.ndarray] | None) -> np.ndarray:
+    """The ``(n, m, out)`` rows a Jacobian sweep starts from: ``cotangents(out)``,
+    or without it each sample's identity rows, which give the plain Jacobian."""
+    if cotangents is not None:
+        return cotangents(out)
+    n, k = out.shape
+    return np.broadcast_to(np.eye(k), (n, k, k))
 
 
 def jacobian_stream(net, cotangents: Callable[[np.ndarray], np.ndarray] | None = None
@@ -339,20 +334,34 @@ def _patch_builder(c: int, h: int, w: int) -> Callable[[np.ndarray], np.ndarray]
     return build
 
 
+def _image_conv(kernel: np.ndarray, h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The 3x3 convolution of one (c_in, h, w) image, for calling many times:
+    every conv of this module is this GEMM.
+
+    Builds its :func:`_patch_builder` once, so the padded image, window view
+    and patch matrix live across calls.  The GEMM is :func:`stable_matmul`,
+    so the result does not depend on the BLAS thread count through the
+    ``c_in * 9`` inner sum; up to 384 terms that is one ``np.matmul``.  The
+    result is a new array; nothing of one call shows in the next.
+    """
+    c_out, c_in = kernel.shape[:2]
+    kmat = kernel.reshape(c_out, -1)
+    patches = _patch_builder(c_in, h, w)
+    return lambda img: stable_matmul(kmat, patches(img)).reshape(c_out, h, w)
+
+
 def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """3x3 convolution, stride 1, zero padding 1, zero bias.
 
     ``x``: (n, c_in, h, w); ``kernel``: (c_out, c_in, 3, 3).  Each image is
-    one GEMM of the kernel matrix with its patch matrix, so a sample's
-    result does not depend on the batch it sits in.
+    one :func:`_image_conv` apply, so a sample's result does not depend on
+    the batch it sits in, nor on the BLAS thread count.
     """
-    n, c_in, h, w = x.shape
-    c_out = kernel.shape[0]
-    kmat = kernel.reshape(c_out, -1)
-    patches = _patch_builder(c_in, h, w)
-    out = np.empty((n, c_out, h, w))
+    n, _, h, w = x.shape
+    apply = _image_conv(kernel, h, w)
+    out = np.empty((n, kernel.shape[0], h, w))
     for b in range(n):
-        np.matmul(kmat, patches(x[b]), out=out[b].reshape(c_out, h * w))
+        out[b] = apply(x[b])
     return out
 
 
@@ -407,24 +416,6 @@ def maxpool_backward(g: np.ndarray, idx, p: int) -> np.ndarray:
     return xr.reshape(n, c, ho * p, wo * p)
 
 
-def _image_conv(kernel: np.ndarray, h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
-    """:func:`conv2d` of one (c_in, h, w) image, for calling many times.
-
-    Builds its :func:`_patch_builder` once, so the padded image, window
-    view and patch matrix live across calls.  The GEMM is
-    :func:`stable_matmul`, so the conv norms do not depend on the BLAS
-    thread count through a long inner sum; up to ``c_in * 9 = 384`` that is
-    one ``np.matmul`` and the result has the same bits as :func:`conv2d`.
-    Training and Jacobians keep :func:`conv2d`'s plain GEMM, which is a
-    few percent faster at CNN widths of 16 and more.
-    The result is a new array; nothing of one call shows in the next.
-    """
-    c_out, c_in = kernel.shape[:2]
-    kmat = kernel.reshape(c_out, -1)
-    patches = _patch_builder(c_in, h, w)
-    return lambda img: stable_matmul(kmat, patches(img)).reshape(c_out, h, w)
-
-
 def conv_spectral_norm(kernel: np.ndarray, in_hw: tuple[int, int],
                        settings: PowerIterSettings = PowerIterSettings()) -> float:
     """Operator 2-norm of a padded 3x3 conv layer at a given spatial size.
@@ -433,8 +424,6 @@ def conv_spectral_norm(kernel: np.ndarray, in_hw: tuple[int, int],
     the block-Toeplitz matrix of the convolution.  The forward and adjoint
     single-image applies are built once per call (:func:`_image_conv`) and
     reuse their padded image, window view and patch matrix at every step.
-    Each equals :func:`conv2d` or :func:`conv2d_adjoint` on that image bit
-    for bit while its input has at most 42 channels.
     """
     c_out, c_in = kernel.shape[0], kernel.shape[1]
     h, w = in_hw
@@ -507,54 +496,45 @@ class CnnNet(_ZeroBiasNet):
         out = feat @ self.linear_w.T
         return out, (block_caches, feat)
 
-    def backprop_params(self, cache, dout: np.ndarray) -> list[np.ndarray]:
+    def _backward(self, cache, dout: np.ndarray, grads: list | None = None) -> np.ndarray:
+        """Sweep (n, 10) cotangent rows back to the input images; or, into
+        ``grads``, the weight gradients (see :meth:`FFReluNet._backward`)."""
         block_caches, feat = cache
-        grads: list[np.ndarray] = [None] * (len(self.kernels) + 1)
-        grads[-1] = dout.T @ feat
+        if grads is not None:
+            grads[-1] = dout.T @ feat
         g = (dout @ self.linear_w).reshape(*feat.shape, 1, 1)
         for i in range(len(self.kernels) - 1, -1, -1):
             a_in, z, idx = block_caches[i]
             g = maxpool_backward(g, idx, self.pools[i])
             g = g * (z > 0)
-            grads[i] = conv2d_kernel_grad(a_in, g)
-            if i > 0:
-                g = conv2d_adjoint(g, self.kernels[i])
+            if grads is not None:
+                grads[i] = conv2d_kernel_grad(a_in, g)
+                if i == 0:
+                    break
+            g = conv2d_adjoint(g, self.kernels[i])
+        return g
+
+    def backprop_params(self, cache, dout: np.ndarray) -> list[np.ndarray]:
+        grads: list[np.ndarray] = [None] * (len(self.kernels) + 1)
+        self._backward(cache, dout, grads)
         return grads
 
     def backprop_input(self, cache, dout: np.ndarray) -> np.ndarray:
-        block_caches, feat = cache
-        g = (dout @ self.linear_w).reshape(*feat.shape, 1, 1)
-        for i in range(len(self.kernels) - 1, -1, -1):
-            _, z, idx = block_caches[i]
-            g = maxpool_backward(g, idx, self.pools[i])
-            g = g * (z > 0)
-            g = conv2d_adjoint(g, self.kernels[i])
+        g = self._backward(cache, dout)
         return g.reshape(g.shape[0], -1)
-
-    def input_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Jacobian (10, 3072) at one sample."""
-        imgs = self._as_images(x)
-        if imgs.shape[0] != 1:
-            raise ValueError("input_jacobian takes a single sample")
-        return self.input_jacobians(imgs)[0]
 
     def input_jacobians(self, x: np.ndarray,
                         cotangents: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
         """Per-sample Jacobians, shape ``(n, 10, 3072)``.
 
         One forward pass over the batch fixes the ReLU masks and pooling
-        routes, then one backward sweep per output row carries that row's
+        routes, then one backward sweep per seed row carries that row's
         cotangent for every sample at once.  ``cotangents`` works as in
         :meth:`FFReluNet.input_jacobians`.
         """
-        imgs = self._as_images(x)
-        out, cache = self.forward_cached(imgs)
-        n = imgs.shape[0]
-        if cotangents is None:
-            seeds = np.broadcast_to(np.eye(self.output_dim), (n, self.output_dim, self.output_dim))
-        else:
-            seeds = cotangents(out)
-        jac = np.empty((n, seeds.shape[1], self.input_dim))
+        out, cache = self.forward_cached(x)
+        seeds = _seed_rows(out, cotangents)
+        jac = np.empty((out.shape[0], seeds.shape[1], self.input_dim))
         for k in range(seeds.shape[1]):
             jac[:, k, :] = self.backprop_input(cache, seeds[:, k, :])
         return jac

@@ -12,6 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import make_rng, row_chunks, vector_norm
+from .models import param_distance
 
 LOSS_KINDS = ("mse", "ce")
 SCHEDULE_VARIANTS = ("warmup20000step25", "cont100", "constant")
@@ -61,13 +62,6 @@ def _loss_sum_and_dout(out: np.ndarray, labels: np.ndarray, kind: str):
     raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
-def batch_loss(net, x: np.ndarray, labels: np.ndarray, kind: str) -> float:
-    """Mean loss of the net on a batch; MSE is the squared 2-norm against one-hots."""
-    out = net.forward(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    value, _ = _loss_sum_and_dout(out, labels, kind)
-    return value / out.shape[0]
-
-
 def loss_and_grad(net, x: np.ndarray, labels: np.ndarray, kind: str):
     """Mean batch loss and its gradient w.r.t. every weight array."""
     out, cache = net.forward_cached(x)
@@ -98,6 +92,8 @@ def param_grad(net, x: np.ndarray, labels: np.ndarray, kind: str):
 
 
 def dataset_loss(net, x: np.ndarray, labels: np.ndarray, kind: str) -> float:
+    """Mean loss of the net over a sample set, in ``row_chunks`` slices; MSE
+    is the squared 2-norm against one-hots."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     total = 0.0
     for xb, yb in row_chunks(x, np.asarray(labels)):
@@ -402,7 +398,7 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
             stopping = stop.should_stop(epoch, grad_norm)
             if on_cadence or stopping:
                 rec = record(epoch, coeff, train_loss, grad_norm,
-                             vector_norm(net.param_vector() - theta0), started)
+                             param_distance(net, theta0), started)
                 trace.records.append(rec)
                 if on_epoch is not None:
                     on_epoch(epoch, net, rec)

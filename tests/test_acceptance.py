@@ -39,7 +39,7 @@ from liptrack.models import conv2d, conv_spectral_norm, init_cnn, init_ff
 from liptrack.training import (
     LrSchedule,
     StopRule,
-    batch_loss,
+    dataset_loss,
     make_optimizer,
     one_hot,
     param_grad,
@@ -208,7 +208,7 @@ def test_03_gradients_match_central_finite_differences(capsys):
             # the net is then exactly linear across the FD stencil.
             x = active_input(net, rng, margin=1e-3)
 
-            jac = net.input_jacobian(x)
+            jac = net.input_jacobians(x[None])[0]
             fd = np.empty_like(jac)
             for i in range(40):
                 e = np.zeros(40)
@@ -226,10 +226,10 @@ def test_03_gradients_match_central_finite_differences(capsys):
                 tp = theta.copy()
                 tp[i] += h
                 work.set_param_vector(tp)
-                up = batch_loss(work, xb, yb, kind)
+                up = dataset_loss(work, xb, yb, kind)
                 tp[i] -= 2 * h
                 work.set_param_vector(tp)
-                down = batch_loss(work, xb, yb, kind)
+                down = dataset_loss(work, xb, yb, kind)
                 fd_grad[i] = (up - down) / (2 * h)
             assert np.max(np.abs(fd_grad - grad)) < 1e-5
         assert time.perf_counter() - t0 < 30.0

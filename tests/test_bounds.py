@@ -73,7 +73,7 @@ def test_lower_bound_matches_per_sample_oracle():
     net = init_ff(6, [9, 8], 4, seed=3)
     x = make_rng(3, 30).standard_normal((25, 6))
     best, mean, idx = lower_bound(net, x)
-    per = np.array([svd_oracle(net.input_jacobian(s)) for s in x])
+    per = np.array([svd_oracle(net.input_jacobians(s[None])[0]) for s in x])
     assert best == pytest.approx(per.max(), rel=1e-11)
     assert idx == int(np.argmax(per))
     assert mean == pytest.approx(per.mean(), rel=1e-11)

@@ -140,6 +140,11 @@ def test_config_error_paths_exit_one(tmp_path, capsys):
                          "--out", out]) == 1
         assert "config error: batch_size 1000 not in" in capsys.readouterr().err
         assert not out.exists()
+    # A train run with no epoch would leave no trace record for its checkpoint.
+    assert run_main(["train", "--config", cfg_path, "--set", "max_epochs=0",
+                     "--out", out]) == 1
+    assert "config error: train needs max_epochs >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
     # x' is resolved against the 20-point test set before anything trains.
     for xprime in ("centroid", "test_point", "test_point:x", "test_point:1.5",
                    "test_point:-1", "test_point:20", "test_point:5000"):

@@ -55,13 +55,6 @@ def test_seed_ensemble_validation():
         SeedEnsemble([net, other], [0, 1])
 
 
-def test_mean_forward_averages_members():
-    e = random_ensemble()
-    x = make_rng(0, 40).standard_normal((6, 8))
-    want = np.mean([m.forward(x) for m in e.members], axis=0)
-    np.testing.assert_allclose(e.mean_forward(x), want, rtol=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # Decomposition
 

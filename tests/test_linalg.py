@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liptrack import linalg
-from liptrack.linalg import (ORACLE_DIM_CAP, PowerIterSettings, make_rng,
+from liptrack.linalg import (ORACLE_DIM_CAP, PowerIterSettings, gram_spectral_norms, make_rng,
                              materialize_operator, row_chunks, spectral_norm_dense,
                              spectral_norm_operator, svd_oracle, vector_dot,
                              vector_norm)
@@ -93,6 +93,20 @@ def test_power_iteration_never_exceeds_oracle_property(norm, seed, rows, cols):
     want = svd_oracle(m)
     assert got <= want * (1 + 1e-9)
     assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_gram_norms_scale_exactly_past_gram_overflow():
+    # Entries near 2**600 square past the float64 maximum, so those Grams
+    # overflow; the norms come from power-of-two rescaled copies, which is
+    # exact.  The stack's other matrices keep their plain Grams.
+    mats = make_rng(3, 7).standard_normal((4, 10, 40))
+    s = 2.0 ** 600
+    plain = gram_spectral_norms(mats)
+    assert np.array_equal(gram_spectral_norms(s * mats), s * plain)
+    mixed = mats.copy()
+    mixed[[1, 3]] *= s
+    assert np.array_equal(gram_spectral_norms(mixed), plain * [1.0, s, 1.0, s])
+    assert spectral_norm_dense(s * mats[0].T) == s * plain[0]
 
 
 def test_operator_norm_matches_dense():

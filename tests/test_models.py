@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liptrack import models
+from liptrack.bounds import _softmax_cotangents
 from liptrack.linalg import (PowerIterSettings, make_rng, materialize_operator,
                              spectral_norm_operator, svd_oracle)
 from liptrack.models import (
@@ -93,7 +94,7 @@ def test_ff_jacobian_times_input_recovers_output(xseed):
     # J(x) x equals f(x) at every x under the strict ">0" mask convention.
     net = init_ff(8, [10, 9], 4, seed=2)
     x = make_rng(xseed, 1).standard_normal(8)
-    jac = net.input_jacobian(x)
+    jac = net.input_jacobians(x[None])[0]
     np.testing.assert_allclose(jac @ x, net.forward(x), rtol=1e-10, atol=1e-12)
 
 
@@ -101,7 +102,7 @@ def test_ff_jacobian_matches_finite_differences():
     net = init_ff(6, [8, 7], 3, seed=7)
     rng = make_rng(7, 2)
     x = active_input(net, rng, margin=1e-3)
-    jac = net.input_jacobian(x)
+    jac = net.input_jacobians(x[None])[0]
     h = 1e-6
     fd = np.empty_like(jac)
     for j in range(net.input_dim):
@@ -115,7 +116,7 @@ def test_ff_jacobian_matches_finite_differences():
 
 def test_ff_jacobian_zero_at_origin():
     net = init_ff(5, [6], 2, seed=1)
-    assert np.array_equal(net.input_jacobian(np.zeros(5)), np.zeros((2, 5)))
+    assert np.array_equal(net.input_jacobians(np.zeros(5)[None])[0], np.zeros((2, 5)))
 
 
 def test_ff_batched_jacobians_match_single_sample():
@@ -124,7 +125,7 @@ def test_ff_batched_jacobians_match_single_sample():
         xs = make_rng(2, 3).standard_normal((11, 6))
         batch = net.input_jacobians(xs)
         assert batch.shape == (11, 3, 6)
-        singles = np.stack([net.input_jacobian(x) for x in xs])
+        singles = np.stack([net.input_jacobians(x[None])[0] for x in xs])
         np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=0)
 
 
@@ -224,12 +225,6 @@ def test_ff_depth1_jacobians_identical_across_blas_thread_counts():
         outputs[threads] = proc.stdout
     assert len(outputs["1"].splitlines()) == 4
     assert outputs["1"] == outputs["2"]
-
-
-def test_ff_input_jacobian_rejects_batches():
-    net = init_ff(6, [8], 3, seed=0)
-    with pytest.raises(ValueError, match="single sample"):
-        net.input_jacobian(np.zeros((2, 6)))
 
 
 def test_ff_backprop_params_matches_finite_differences():
@@ -336,6 +331,38 @@ GOLDEN_INIT = [
     (lambda: init_cnn(2, 5), "f96a8596bd31eb38"),
     (lambda: init_cnn(4, 11), "1914fdad9dcf23d6"),
 ]
+
+
+def _ff_jacobians(widths, cotangents):
+    net = init_ff(7, widths, 4, seed=51)
+    net.weights[-1][0] = -np.abs(net.weights[-1][0])  # a dead output row
+    x = make_rng(51, 3).standard_normal((9, 7))
+    x[2] = 0.0
+    return net.input_jacobians(x, cotangents)
+
+
+def _cnn_param_grads():
+    net = init_cnn(2, seed=52)
+    rng = make_rng(52, 3)
+    _, cache = net.forward_cached(rng.standard_normal((3, 3072)))
+    grads = net.backprop_params(cache, rng.standard_normal((3, 10)))
+    return np.concatenate([g.ravel() for g in grads])
+
+
+# sha256 of the result bytes, signed zeros included: a change to either
+# family's backward loop or to the seed rows must keep these bits.
+GOLDEN_BACKWARD = [
+    (lambda: _ff_jacobians([9, 8], None), "91edcc216523449c"),
+    (lambda: _ff_jacobians([9, 8], _softmax_cotangents), "274e18f7f0a4a97a"),
+    (lambda: _ff_jacobians([9, 8, 6], None), "ec88c69c866bba44"),
+    (lambda: _ff_jacobians([9, 8, 6], _softmax_cotangents), "6e51d9f559a255d6"),
+    (_cnn_param_grads, "07e4c23ae082e6de"),
+]
+
+
+@pytest.mark.parametrize("make, digest", GOLDEN_BACKWARD)
+def test_backward_sweeps_keep_their_golden_bits(make, digest):
+    assert hashlib.sha256(make().tobytes()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("make, digest", GOLDEN_INIT)
@@ -500,6 +527,18 @@ def test_conv_kernels_identical_across_blas_thread_counts():
         # changed the last bit of both between 1 and 2 threads.
         "print(repr(spectral_norm_dense(rng.standard_normal((2048, 300)))),\n"
         "      repr(conv_spectral_norm(rng.standard_normal((48, 32, 3, 3)), (32, 32))))\n"
+        # A width-12 CNN: its last convs sum 432 and (adjoint) 864 terms.
+        # With a plain GEMM there, its gradients and Jacobians changed
+        # between 1 and 2 threads.
+        "from liptrack.bounds import _softmax_cotangents\n"
+        "from liptrack.models import init_cnn\n"
+        "from liptrack.training import loss_and_grad\n"
+        "net = init_cnn(12, seed=16)\n"
+        "x = rng.standard_normal((4, 3072))\n"
+        "_, grads = loss_and_grad(net, x, np.array([0, 3, 5, 9]), 'ce')\n"
+        "for a in (*grads, net.input_jacobians(x[:2]), net.input_jacobians(x[:2], _softmax_cotangents)):\n"
+        "    print(hashlib.sha256(a.tobytes()).hexdigest())\n"
+        "print(repr(conv_spectral_norm(net.kernels[-1], (8, 8))))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = {}
@@ -510,7 +549,7 @@ def test_conv_kernels_identical_across_blas_thread_counts():
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs[threads] = proc.stdout
-    assert outputs["1"].strip()
+    assert len(outputs["1"].splitlines()) == 3 + 5 + 2 + 1
     assert outputs["1"] == outputs["2"]
 
 
@@ -596,9 +635,9 @@ def test_conv_spectral_norm_converges_on_tied_top_pair(monkeypatch):
 
 def test_image_conv_matches_conv2d_bit_for_bit_and_keeps_no_state():
     rng = make_rng(6, 10)
-    # Up to 42 channels in, the inner sum (c_in * 9 <= 384) is one GEMM in
-    # both; a longer one is blocked in the applies only.
-    for c_out, c_in, hw in [(5, 3, 8), (2, 42, 6), (42, 4, 4)]:
+    # conv2d runs the same apply per image; from 43 channels in (an inner
+    # sum past 384) both block it.
+    for c_out, c_in, hw in [(5, 3, 8), (2, 42, 6), (42, 4, 4), (3, 48, 4)]:
         k = rng.standard_normal((c_out, c_in, 3, 3))
         forward, adjoint = models._image_conv(k, hw, hw), models._image_conv(
             models._adjoint_kernel(k), hw, hw)
@@ -650,7 +689,7 @@ def test_cnn_positive_homogeneity_exact_for_dyadic_scales():
 def test_cnn_jacobian_times_input_recovers_output():
     net = init_cnn(1, seed=7)
     x = make_rng(4, 13).standard_normal(3072)
-    jac = net.input_jacobian(x)
+    jac = net.input_jacobians(x[None])[0]
     assert jac.shape == (10, 3072)
     np.testing.assert_allclose(jac @ x, net.forward(x), rtol=1e-9, atol=1e-11)
 
@@ -661,7 +700,7 @@ def test_cnn_jacobian_matches_directional_difference():
     x = rng.standard_normal(3072)
     v = rng.standard_normal(3072)
     v /= np.linalg.norm(v)
-    jac = net.input_jacobian(x)
+    jac = net.input_jacobians(x[None])[0]
     h = 1e-6
     fd = (net.forward(x + h * v) - net.forward(x - h * v)) / (2 * h)
     np.testing.assert_allclose(fd, jac @ v, rtol=1e-5, atol=1e-6)
@@ -673,7 +712,7 @@ def test_cnn_batched_jacobians_stack_singles():
     batch = net.input_jacobians(xs)
     assert batch.shape == (3, 10, 3072)
     for i in range(3):
-        assert np.array_equal(batch[i], net.input_jacobian(xs[i]))
+        assert np.array_equal(batch[i], net.input_jacobians(xs[i][None])[0])
 
 
 def test_cnn_batched_jacobians_match_per_image_backprop():
@@ -687,7 +726,7 @@ def test_cnn_batched_jacobians_match_per_image_backprop():
         _, cache = net.forward_cached(batch)
         want = net.backprop_input(cache, np.eye(10))
         np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-14)
-        assert np.array_equal(got[i], net.input_jacobian(xs[i]))
+        assert np.array_equal(got[i], net.input_jacobians(xs[i][None])[0])
     seeds = make_rng(9, 13).standard_normal((3, 4, 10))
     np.testing.assert_allclose(net.input_jacobians(xs, lambda out: seeds), seeds @ got,
                                rtol=1e-11, atol=1e-13)

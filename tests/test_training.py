@@ -18,7 +18,6 @@ from liptrack.training import (
     Sgd,
     StopRule,
     TrainTrace,
-    batch_loss,
     dataset_loss,
     default_stop,
     loss_and_grad,
@@ -58,7 +57,7 @@ def test_mse_loss_hand_oracle():
     x = np.array([[0.2, 0.5, 0.1], [1.0, 0.0, 0.25]])
     labels = np.array([1, 0])
     want = (np.sum((x[0] - [0, 1, 0]) ** 2) + np.sum((x[1] - [1, 0, 0]) ** 2)) / 2
-    assert batch_loss(net, x, labels, "mse") == pytest.approx(want, rel=1e-14)
+    assert dataset_loss(net, x, labels, "mse") == pytest.approx(want, rel=1e-14)
 
 
 def test_ce_loss_hand_oracle():
@@ -66,13 +65,13 @@ def test_ce_loss_hand_oracle():
     x = np.array([[0.2, 0.5, 0.1], [1.0, 0.0, 0.25]])
     labels = np.array([1, 0])
     per = [np.log(np.sum(np.exp(row))) - row[lab] for row, lab in zip(x, labels)]
-    assert batch_loss(net, x, labels, "ce") == pytest.approx(np.mean(per), rel=1e-14)
+    assert dataset_loss(net, x, labels, "ce") == pytest.approx(np.mean(per), rel=1e-14)
 
 
 def test_loss_rejects_unknown_kind():
     net = identity_net(2)
     with pytest.raises(ValueError, match="loss kind"):
-        batch_loss(net, np.ones((1, 2)), np.array([0]), "hinge")
+        dataset_loss(net, np.ones((1, 2)), np.array([0]), "hinge")
 
 
 @pytest.mark.parametrize("kind", ["mse", "ce"])
@@ -82,15 +81,15 @@ def test_loss_and_grad_matches_finite_differences(kind):
     x = np.stack([active_input(net, rng, margin=1e-3) for _ in range(4)])
     labels = np.array([0, 2, 1, 2])
     value, grads = loss_and_grad(net, x, labels, kind)
-    assert value == pytest.approx(batch_loss(net, x, labels, kind), rel=1e-13)
+    assert value == pytest.approx(dataset_loss(net, x, labels, kind), rel=1e-13)
     h = 1e-6
     for li in range(len(net.weights)):
         for idx in [(0, 0), (1, 2)]:
             probe = net.copy()
             probe.weights[li][idx] += h
-            up = batch_loss(probe, x, labels, kind)
+            up = dataset_loss(probe, x, labels, kind)
             probe.weights[li][idx] -= 2 * h
-            down = batch_loss(probe, x, labels, kind)
+            down = dataset_loss(probe, x, labels, kind)
             fd = (up - down) / (2 * h)
             np.testing.assert_allclose(fd, grads[li][idx], rtol=1e-5, atol=1e-8)
 
