@@ -10,6 +10,7 @@ without leaving the data's convex hull.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -28,7 +29,8 @@ PROBE_LAMBDAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 def batch_spectral_norms(mats: np.ndarray, settings: PowerIterSettings = PowerIterSettings()) -> np.ndarray:
     """Spectral norm of each matrix in a (n, k, d) stack: exact, from one
     batched eigen-solve of the Gram stack, when the smaller side is at most
-    ``EXACT_SIDE_CAP`` (10 x 40 Jacobians, say); else power iteration each."""
+    ``EXACT_SIDE_CAP`` (10 x 40 Jacobians, say); else the iterative
+    :func:`~liptrack.linalg.spectral_norm_dense` each."""
     mats = np.asarray(mats, dtype=np.float64)
     n, k, d = mats.shape
     if n == 0:
@@ -69,14 +71,16 @@ def _sup(norm_batches: Iterator[np.ndarray]) -> float:
 
 
 def _sup_mean(norm_batches: Iterator[np.ndarray]):
-    """``(sup, mean, argmax_index)`` over a stream of norm batches, in stream order."""
-    best = -1.0
+    """``(sup, mean, argmax_index)`` over a stream of norm batches, in stream order.
+
+    A NaN norm makes the sup NaN, and the index points at the first one."""
+    best = 0.0
     best_idx = 0
     total = 0.0
     seen = 0
     for norms in norm_batches:
-        i = int(np.argmax(norms))
-        if norms[i] > best:
+        i = int(np.argmax(norms))  # the first NaN, if the batch has one
+        if norms[i] > best or math.isnan(norms[i]) and not math.isnan(best):
             best = float(norms[i])
             best_idx = seen + i
         total += float(norms.sum())
@@ -103,7 +107,9 @@ def lower_bound(net, samples: np.ndarray):
 
 def upper_bound(net, settings: PowerIterSettings = PowerIterSettings()) -> float:
     """Product of the per-layer operator norms, each exact for a dense layer
-    with a side within ``EXACT_SIDE_CAP``, else a power-iteration estimate from below."""
+    with a side within ``EXACT_SIDE_CAP``, else an estimate from below by
+    thick-restart Lanczos on the layer's Gram map, which restarts on its top
+    Ritz vectors and the previous step's one (``linalg._top_gram_eigenvalue``)."""
     out = 1.0
     for sigma in net.layer_spectral_norms(settings):
         out *= sigma

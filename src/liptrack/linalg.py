@@ -1,19 +1,21 @@
 """Seeded randomness, spectral norms, an exact oracle, and the row slices
 (``ROW_CHUNK``, ``row_chunks``) that every sample-set pass takes.  Dense norms are
 exact up to ``EXACT_SIDE_CAP`` on the smaller side; wider dense matrices
-and implicit operators (the convs) get power iteration.
+and implicit operators (the convs) get an iterative eigensolver on their
+Gram map: thick-restart Lanczos (:func:`_top_gram_eigenvalue`).
 
-A power-iteration step costs one apply of the Gram map plus a fixed amount
-of bookkeeping, so the bookkeeping is kept small: the Rayleigh-Ritz basis
-``[x, r, p]`` and its images live in one stacked array allocated once per
-solve, and the 3x3 projection and the Ritz combinations are a few small
-GEMMs rather than a loop of dots.  The conv applies
-(``models.conv_spectral_norm``) likewise keep their padded image, window
-view and patch matrix across steps.  Long sums are blocked (``vector_dot``,
-``stable_matmul``) so that the norms liptrack takes (dense matrices, and
-convs on the CNN's 32/16/8 grids) are the same at 1 and 2 OpenBLAS 0.3.x
-threads.  That was measured, not derived: some other shapes still differ
-(see the CHANGES.md FOUND note on uneven conv grids).
+A solver step costs one apply of the Gram map plus bookkeeping that grows
+with the basis, so both are kept small: the Krylov basis and its images
+live in one array allocated once per solve, a restart keeps only a few
+Ritz vectors, and the projections and Ritz combinations are small GEMMs
+rather than loops of dots.  The conv applies (``models.conv_spectral_norm``)
+likewise keep their padded image, window view and patch matrix across
+steps, and write each image into the basis.  Long sums are blocked
+(``vector_dot``, ``stable_matmul``) and the solver's GEMMs cut to sizes
+OpenBLAS runs on one thread, so that the norms liptrack takes (dense
+matrices, and convs on the CNN's 32/16/8 grids) are the same at 1 and 2
+OpenBLAS 0.3.x threads.  That was measured, not derived: some other
+shapes still differ (see the CHANGES.md FOUND note on uneven conv grids).
 
 All analysis quantities are 64-bit floats.  Matrices are plain 2-D
 ``numpy`` arrays (row-major), vectors 1-D arrays.  Randomness always
@@ -23,6 +25,7 @@ stream in the toolkit.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -48,13 +51,13 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PowerIterSettings:
-    """Knobs for the power method.
+    """Knobs for the iterative norms (the config's ``power_iter``).
 
-    The iteration runs on the Gram matrix ``G = M' M`` and stops once the
+    The eigensolver runs on the Gram matrix ``G = M' M`` and stops once the
     eigen-residual ``||G v - rho v||`` drops below ``rel_tol * rho``, or
-    after ``max_iters`` rounds.  The residual bounds the distance from
-    ``rho`` to a true eigenvalue, so a plain increment test cannot stall
-    it on near-degenerate top singular values.
+    after ``max_iters`` applies of ``G``.  The residual bounds the distance
+    from ``rho`` to a true eigenvalue, so a plain increment test cannot
+    stall it on near-degenerate top singular values.
     """
 
     max_iters: int = 1000
@@ -100,8 +103,9 @@ _SERIAL_INNER_LEN = 384
 
 # OpenBLAS runs a GEMM on one thread when M*N*K <= 65536 * 4 (its
 # SMP_THRESHOLD_MIN times the default GEMM_MULTITHREAD_THRESHOLD).  The
-# power-iteration GEMMs below are at most 4*6 by 10000 columns: 240000.
-_SERIAL_GEMM_COLS = 10000
+# eigensolver cuts its GEMMs over long vectors to that size, and gives each
+# at least two rows and two columns, so that NumPy calls GEMM, not GEMV.
+_SERIAL_GEMM_SIZE = 65536 * 4
 
 
 def _inner_blocked_matmul(a: np.ndarray, b: np.ndarray, step: int,
@@ -149,89 +153,127 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def _combine_rows(coef: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """``out = coef @ rows`` in column blocks of ``_SERIAL_GEMM_COLS``,
-    each small enough for OpenBLAS to run on one thread."""
-    for lo in range(0, rows.shape[1], _SERIAL_GEMM_COLS):
-        hi = lo + _SERIAL_GEMM_COLS
-        np.matmul(coef, rows[:, lo:hi], out=out[:, lo:hi])
+    """``out = coef @ rows`` in column blocks, each small enough for
+    OpenBLAS to run on one thread (``_SERIAL_GEMM_SIZE``)."""
+    step = max(1, _SERIAL_GEMM_SIZE // coef.size)
+    for lo in range(0, rows.shape[1], step):
+        np.matmul(coef, rows[:, lo:lo + step], out=out[:, lo:lo + step])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b.T`` for two stacks of long rows: the inner sum in blocks,
+    each product small enough for OpenBLAS to run on one thread.  With a
+    single row on either side it is :func:`vector_dot`s instead."""
+    if min(len(a), len(b)) == 1:
+        return np.array([[vector_dot(u, v) for v in b] for u in a])
+    return _inner_blocked_matmul(a, b.T, max(1, _SERIAL_GEMM_SIZE // (len(a) * len(b))))
+
+
+# Largest Krylov basis of the eigensolver, and the top Ritz vectors a
+# restart keeps (the previous step's top Ritz vector is kept besides).
+_KRYLOV_DIM = 16
+_KRYLOV_KEEP = 4
 
 
 def _top_gram_eigenvalue(
-    gmul: Callable[[np.ndarray], np.ndarray],
+    gmul: Callable[[np.ndarray, np.ndarray], object],
     in_shape: tuple[int, ...],
     rng: np.random.Generator,
     settings: PowerIterSettings,
 ) -> float:
-    """Largest eigenvalue of the implicit PSD map ``gmul`` (one apply per step).
+    """Largest eigenvalue of the implicit PSD map ``G``; ``gmul(v, out)``
+    writes ``G v`` into the flat row ``out``.
 
-    Power iteration accelerated by Rayleigh-Ritz extraction on the span of
-    the current iterate, its eigen-residual, and the previous search
-    direction.  A near-tied top pair makes the plain iteration crawl; the
-    3-dim subspace restores fast convergence at the same one-apply-per-step
-    cost.  Stops when ``||G x - rho x|| <= rel_tol * rho``, which certifies
-    an eigenvalue within ``rel_tol * rho`` of the estimate.  Every estimate
-    is a Rayleigh quotient, hence a lower bound in exact arithmetic.
+    Thick-restart Lanczos with full reorthogonalization: Rayleigh-Ritz on a
+    Krylov basis whose vectors are stored with their images under ``G``.
+    Each step appends the Ritz residual, reorthogonalized once against the
+    basis, and applies ``G`` to it once.  When the basis holds
+    ``_KRYLOV_DIM`` vectors, it restarts on the top ``_KRYLOV_KEEP`` Ritz
+    vectors and the previous step's top Ritz vector (as in GD+k), whose
+    images follow from the stored ones.  Stops when
+    ``||G x - rho x|| <= rel_tol * rho`` for the top Ritz pair, which
+    certifies an eigenvalue within ``rel_tol * rho`` of the estimate, after
+    ``max_iters`` applies of ``G``, or when the basis spans the whole space.
+    Every estimate is a Rayleigh quotient, hence a lower bound in exact
+    arithmetic; the kept vectors are orthonormalized again at each restart,
+    so rounding does not build up past it over many restarts.
 
-    The basis ``[x, r, p]`` and its images under G sit in one (3, 2, n)
-    array allocated once and updated in place.  Orthogonalizing ``p``, the
-    3x3 projection and the Ritz combinations are one small GEMM each per
-    block of ``_SERIAL_GEMM_COLS`` entries, which OpenBLAS runs on one
-    thread, and dots and norms go through :func:`vector_dot`, so the
-    estimate does not depend on the BLAS thread count through them.
+    The basis and its images sit interleaved in one (``_KRYLOV_DIM``, 2, n)
+    array allocated once.  Dots and norms go through :func:`vector_dot`, and
+    the projections and Ritz combinations are GEMMs cut by
+    :func:`_combine_rows` and :func:`_cross` to sizes OpenBLAS runs on one
+    thread, so the estimate does not depend on the BLAS thread count
+    through them.
     """
     n = math.prod(in_shape)
-    rows = np.empty((3, 2, n))  # (x, gx), (r, gr), (p, gp): a basis vector, its image
-    flat = rows.reshape(6, n)
-    (x, gx), (r, gr), (p, gp) = rows
-    new = np.empty((2, 2, n))  # the next (x, gx) and (p, gp), before normalizing
+    m, keep = _KRYLOV_DIM, _KRYLOV_KEEP
+    basis = np.empty((m, 2, n))  # row i: a basis vector v_i and its image G v_i
+    flat = basis.reshape(2 * m, n)
+    vecs = basis[:, 0]
+    h = np.empty((m, m))  # the projection: h[i, j] = h[j, i] = v_i . G v_j for i <= j
+    work = np.empty((2, n))
+    kept = np.empty((keep + 1, 2, n))
+    v, gv = basis[0]
     for _ in range(8):
-        x[:] = rng.standard_normal(in_shape).ravel()
-        x /= vector_norm(x)
-        gx[:] = np.ravel(gmul(x.reshape(in_shape)))
-        rho = vector_dot(x, gx)
+        v[:] = rng.standard_normal(in_shape).ravel()
+        v /= vector_norm(v)
+        gmul(v.reshape(in_shape), gv)
+        rho = vector_dot(v, gv)
         if rho > 0.0:
             break
     else:
         # Eight unit Gaussians in the null space: the map is zero in practice.
         return 0.0
-    k = 2  # basis vectors in use; p joins after the first step
-    for _ in range(settings.max_iters):
-        np.multiply(x, rho, out=r)
-        np.subtract(gx, r, out=r)
-        if vector_norm(r) <= settings.rel_tol * rho:
+    h[0, 0] = rho
+    k, applies, y_prev = 1, 1, np.zeros(0)
+    while True:
+        evals, evecs = np.linalg.eigh(h[:k, :k])
+        rho, y = float(evals[-1]), evecs[:, -1]
+        # work rows: the Ritz residual G x - rho x, and the Ritz vector x
+        # (whose row keeps the products over ``work`` GEMMs, not GEMVs).
+        coef = np.zeros((2, 2 * k))
+        coef[0, 0::2] = -rho * y
+        coef[0, 1::2] = coef[1, 0::2] = y
+        _combine_rows(coef, flat[:2 * k], work)
+        if (vector_norm(work[0]) <= settings.rel_tol * rho
+                or applies >= settings.max_iters or k == n):
             break
-        # Orthonormalize [x, r, p]; images follow the same combinations.
-        r -= vector_dot(x, r) * x
-        rn = vector_norm(r)
-        if rn <= 1e-300:
+        if k == m:
+            # Keep the top Ritz vectors and the previous step's top one, made
+            # orthonormal to them; the residual is orthogonal to all of them.
+            top = evecs[:, -keep:]
+            prev = np.zeros(m)
+            prev[:len(y_prev)] = y_prev
+            for _ in range(2):
+                prev -= top @ (top.T @ prev)
+            prev_norm = float(np.linalg.norm(prev))
+            z = np.column_stack([top, prev / prev_norm]) if prev_norm > 1e-12 else top
+            k = z.shape[1]
+            _combine_rows(z.T, basis.reshape(m, 2 * n), kept[:k].reshape(k, 2 * n))
+            # Orthonormalize them again (Cholesky QR).  Without it their
+            # rounding builds up over restarts, and the Ritz values, which
+            # favour any direction whose norm grew, creep past the top one.
+            gram = _cross(kept[:k, 0], kept[:k].reshape(2 * k, n))[:, 0::2]
+            _combine_rows(np.linalg.inv(np.linalg.cholesky(gram)), kept[:k].reshape(k, 2 * n),
+                          basis[:k].reshape(k, 2 * n))
+            vw = _cross(vecs[:k], basis[:k, 1])
+            h[:k, :k] = np.triu(vw) + np.triu(vw, 1).T
+            y = np.eye(k)[keep - 1]
+        # v_k: the residual minus its parts along the basis, normalized.
+        v, gv = basis[k]
+        np.copyto(v, work[0])
+        coef = np.zeros((2, k))
+        coef[0] = _cross(vecs[:k], work)[:, 0]
+        _combine_rows(coef, vecs[:k], work)
+        v -= work[0]
+        vn = vector_norm(v)
+        if vn <= 1e-300:
             break
-        r /= rn
-        gr[:] = np.ravel(gmul(r.reshape(in_shape)))
-        if k == 3:
-            # p - a x - b r and its image: p minus its parts along x and r.
-            a, b = vector_dot(x, p), vector_dot(r, p)
-            _combine_rows(np.array([[-a, 0.0, -b, 0.0, 1.0, 0.0],
-                                    [0.0, -a, 0.0, -b, 0.0, 1.0]]), flat, new[0])
-            qn = vector_norm(new[0, 0])
-            if qn > 1e-12:
-                np.divide(new[0], qn, out=rows[2])
-            else:
-                k = 2
-        h = _inner_blocked_matmul(rows[:k, 0], rows[:k, 1].T, _SERIAL_GEMM_COLS)
-        evals, evecs = np.linalg.eigh(0.5 * (h + h.T))
-        y = evecs[:, -1]
-        rho = float(evals[-1])
-        # The new iterate, and the momentum: the part of the step orthogonal
-        # to the old iterate.  Both are normalized into rows x and p.
-        coef = np.zeros((4, 2 * k))
-        coef[0, 0::2] = coef[1, 1::2] = y
-        coef[2, 2::2] = coef[3, 3::2] = y[1:]
-        _combine_rows(coef, flat[:2 * k], new.reshape(4, n))
-        np.divide(new[0], vector_norm(new[0, 0]), out=rows[0])
-        pn = vector_norm(new[1, 0])
-        k = 3 if pn > 1e-12 else 2
-        if k == 3:
-            np.divide(new[1], pn, out=rows[2])
+        v /= vn
+        gmul(v.reshape(in_shape), gv)
+        applies += 1
+        h[:k + 1, k] = h[k, :k + 1] = _cross(vecs[:k + 1], basis[k])[:, 1]
+        k, y_prev = k + 1, y
     return max(rho, 0.0)
 
 
@@ -258,16 +300,18 @@ def gram_spectral_norms(mats: np.ndarray) -> np.ndarray:
 
 def spectral_norm_dense(m: np.ndarray, settings: PowerIterSettings = PowerIterSettings()) -> float:
     """Largest singular value of a dense matrix, exact when the smaller side
-    is at most ``EXACT_SIDE_CAP``.  Above it, power iteration: the estimate
-    is ``||m v||`` for a unit vector ``v``, so it can only approach the true
-    value from below.  A zero matrix returns 0.
+    is at most ``EXACT_SIDE_CAP``.  Above it, thick-restart Lanczos on
+    ``m' m`` (:func:`_top_gram_eigenvalue`, restarting on its top Ritz
+    vectors and the previous step's one): the estimate is ``||m v||`` for a
+    unit vector ``v``, so in exact arithmetic it approaches the true value
+    from below.  A zero matrix returns 0.
     """
     m = _as_matrix(m)
     if min(m.shape) <= EXACT_SIDE_CAP:
         return float(gram_spectral_norms(m[None])[0])
 
     rng = make_rng(settings.seed, 0x5BEC)
-    rho = _top_gram_eigenvalue(lambda v: stable_matmul(m.T, stable_matmul(m, v)),
+    rho = _top_gram_eigenvalue(lambda v, out: stable_matmul(m.T, stable_matmul(m, v), out=out),
                                (m.shape[1],), rng, settings)
     return math.sqrt(rho)
 
@@ -314,7 +358,7 @@ def _jacobi_max_eigenvalue(g: np.ndarray, tol: float = 1e-15, max_sweeps: int = 
 def svd_oracle(m: np.ndarray) -> float:
     """Largest singular value via Jacobi rotations on the Gram matrix.
 
-    Independent of the LAPACK and power-iteration paths; the ground truth in
+    Independent of the LAPACK and Krylov-solver paths; the ground truth in
     tests.  Capped at 512 per side because each sweep is cubic.
     """
     m = _as_matrix(m)
@@ -341,7 +385,11 @@ def spectral_norm_operator(
     ``apply`` maps arrays of ``in_shape`` to ``out_shape`` and
     ``apply_adjoint`` must be its exact adjoint; this is spot-checked on
     3 random unit pairs before iterating, because a silently wrong
-    adjoint makes the power method converge to garbage.
+    adjoint makes the eigensolver converge to garbage.  The norm is the
+    square root of the top eigenvalue of ``apply_adjoint(apply(.))`` from
+    :func:`_top_gram_eigenvalue`.  An ``apply_adjoint`` that takes an
+    ``out`` keyword (a C-contiguous array of ``in_shape``'s size) writes
+    each Gram image straight into the solver's basis.
     """
     in_shape = tuple(int(d) for d in in_shape)
     out_shape = tuple(int(d) for d in out_shape)
@@ -359,13 +407,13 @@ def spectral_norm_operator(
                 f"adjoint check failed on pair {pair}: <Av,u>={lhs!r} vs <v,A'u>={rhs!r}"
             )
 
-    rho = _top_gram_eigenvalue(
-        lambda v: np.asarray(apply_adjoint(apply(v)), dtype=np.float64),
-        in_shape,
-        rng,
-        settings,
-    )
-    return math.sqrt(rho)
+    if "out" in inspect.signature(apply_adjoint).parameters:
+        def gram(v, out):
+            apply_adjoint(apply(v), out=out)
+    else:
+        def gram(v, out):
+            out[:] = np.ravel(apply_adjoint(apply(v)))
+    return math.sqrt(_top_gram_eigenvalue(gram, in_shape, rng, settings))
 
 
 def materialize_operator(apply: LinearMap, in_shape: Sequence[int]) -> np.ndarray:

@@ -233,7 +233,7 @@ class FFReluNet(_ZeroBiasNet):
 
     def layer_spectral_norms(self, settings: PowerIterSettings = PowerIterSettings()) -> list[float]:
         """2-norm of every linear layer, exact up to ``EXACT_SIDE_CAP`` on the
-        smaller side (power iteration above); the ReLUs are 1-Lipschitz."""
+        smaller side (the Krylov eigensolver above); the ReLUs are 1-Lipschitz."""
         return [spectral_norm_dense(w, settings) for w in self.weights]
 
 
@@ -334,7 +334,7 @@ def _patch_builder(c: int, h: int, w: int) -> Callable[[np.ndarray], np.ndarray]
     return build
 
 
-def _image_conv(kernel: np.ndarray, h: int, w: int) -> Callable[[np.ndarray], np.ndarray]:
+def _image_conv(kernel: np.ndarray, h: int, w: int) -> Callable[..., np.ndarray]:
     """The 3x3 convolution of one (c_in, h, w) image, for calling many times:
     every conv of this module is this GEMM.
 
@@ -342,12 +342,21 @@ def _image_conv(kernel: np.ndarray, h: int, w: int) -> Callable[[np.ndarray], np
     and patch matrix live across calls.  The GEMM is :func:`stable_matmul`,
     so the result does not depend on the BLAS thread count through the
     ``c_in * 9`` inner sum; up to 384 terms that is one ``np.matmul``.  The
-    result is a new array; nothing of one call shows in the next.
+    result goes into ``out``, a C-contiguous array of ``c_out * h * w``
+    entries, or else into a new (c_out, h, w) array; nothing of one call
+    shows in the next.
     """
     c_out, c_in = kernel.shape[:2]
     kmat = kernel.reshape(c_out, -1)
     patches = _patch_builder(c_in, h, w)
-    return lambda img: stable_matmul(kmat, patches(img)).reshape(c_out, h, w)
+
+    def apply(img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((c_out, h, w))
+        stable_matmul(kmat, patches(img), out=out.reshape(c_out, h * w))
+        return out
+
+    return apply
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -361,7 +370,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     apply = _image_conv(kernel, h, w)
     out = np.empty((n, kernel.shape[0], h, w))
     for b in range(n):
-        out[b] = apply(x[b])
+        apply(x[b], out=out[b])
     return out
 
 
@@ -420,10 +429,12 @@ def conv_spectral_norm(kernel: np.ndarray, in_hw: tuple[int, int],
                        settings: PowerIterSettings = PowerIterSettings()) -> float:
     """Operator 2-norm of a padded 3x3 conv layer at a given spatial size.
 
-    Runs power iteration on the implicit map instead of materializing
-    the block-Toeplitz matrix of the convolution.  The forward and adjoint
-    single-image applies are built once per call (:func:`_image_conv`) and
-    reuse their padded image, window view and patch matrix at every step.
+    Runs the Krylov eigensolver of :func:`~liptrack.linalg.spectral_norm_operator`
+    on the implicit map instead of materializing the block-Toeplitz matrix
+    of the convolution.  The forward and adjoint single-image applies are
+    built once per call (:func:`_image_conv`) and reuse their padded image,
+    window view and patch matrix at every step; the adjoint writes each
+    Gram image straight into the solver's basis.
     """
     c_out, c_in = kernel.shape[0], kernel.shape[1]
     h, w = in_hw

@@ -17,7 +17,7 @@ from liptrack.bounds import (
     softmax_jacobian,
     upper_bound,
 )
-from liptrack import linalg, models
+from liptrack import bounds, linalg, models
 from liptrack.linalg import PowerIterSettings, make_rng, svd_oracle
 from liptrack.models import init_ff
 
@@ -89,6 +89,22 @@ def test_lower_bound_chunk_invariance_and_errors(monkeypatch):
     assert m1 == pytest.approx(m2, rel=1e-13)
     with pytest.raises(ValueError, match="at least one sample"):
         lower_bound(net, np.zeros((0, 6)))
+
+
+def test_sup_mean_reports_nan_norms_as_nan_not_negative():
+    nan = float("nan")
+    streams = {
+        "all NaN": ([[nan, nan], [nan]], 0),
+        "NaN in the middle": ([[1.0, 2.0], [0.5, nan, 3.0], [4.0]], 3),
+        "NaN in the first batch": ([[0.5, nan], [9.0]], 1),
+    }
+    for name, (batches, nan_index) in streams.items():
+        sup, mean, idx = bounds._sup_mean(iter([np.array(b) for b in batches]))
+        assert np.isnan(sup) and np.isnan(mean), name
+        assert idx == nan_index, name
+    # Without NaNs the sup is never negative, even for all-zero norms.
+    assert bounds._sup_mean(iter([np.zeros(3), np.zeros(2)])) == (0.0, 0.0, 0)
+    assert bounds._sup_mean(iter([np.array([1.0, 3.0]), np.array([3.0, 2.0])])) == (3.0, 2.25, 1)
 
 
 def test_upper_bound_is_product_of_layer_norms():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liptrack import models
+from liptrack import linalg, models
 from liptrack.bounds import _softmax_cotangents
 from liptrack.linalg import (PowerIterSettings, make_rng, materialize_operator,
                              spectral_norm_operator, svd_oracle)
@@ -631,6 +631,52 @@ def test_conv_spectral_norm_converges_on_tied_top_pair(monkeypatch):
     # The stop rule, not the step cap, ended the iteration (3 applies are the
     # adjoint spot checks, one starts the iteration).
     assert len(applies) < 3 + 1 + TIGHT.max_iters
+
+
+def _count_applies(monkeypatch) -> list:
+    """Record each forward apply that conv_spectral_norm's operator makes."""
+    applies = []
+
+    def counting(apply, *args):
+        def counted(v):
+            applies.append(1)
+            return apply(v)
+        return spectral_norm_operator(counted, *args)
+
+    monkeypatch.setattr(models, "spectral_norm_operator", counting)
+    return applies
+
+
+def test_conv_spectral_norm_matches_eigvalsh_across_restarts(monkeypatch):
+    applies = _count_applies(monkeypatch)
+    k = make_rng(7, 10).standard_normal((3, 4, 3, 3))
+    got = conv_spectral_norm(k, (7, 7), TIGHT)
+    mat = materialize_operator(lambda v: conv2d(v[None], k)[0], (4, 7, 7))
+    want = np.sqrt(np.linalg.eigvalsh(mat.T @ mat)[-1])
+    assert got == pytest.approx(want, rel=1e-9)
+    # More Gram applies than the basis holds: the solver restarted.
+    assert len(applies) > 3 + linalg._KRYLOV_DIM
+
+
+def test_conv_spectral_norm_stops_at_max_iters(monkeypatch):
+    applies = _count_applies(monkeypatch)
+    k = make_rng(8, 10).standard_normal((3, 4, 3, 3))
+    capped = PowerIterSettings(max_iters=linalg._KRYLOV_DIM // 2, rel_tol=1e-13)
+    got = conv_spectral_norm(k, (7, 7), capped)
+    # 3 applies are the adjoint spot checks.
+    assert 3 + 1 < len(applies) <= 3 + capped.max_iters
+    mat = materialize_operator(lambda v: conv2d(v[None], k)[0], (4, 7, 7))
+    assert 0.0 < got <= svd_oracle(mat) * (1 + 1e-12)
+
+
+def test_conv_spectral_norm_of_initial_cnn_layer_stays_cheap(monkeypatch):
+    # The third conv of the benchmark's initial width-4 CNN (the seed is
+    # derive_seed(0, "cnn-net") of perfbench/workloads.py) at its 16x16
+    # grid, at the default tolerance.  Power iteration with a 3-vector
+    # Rayleigh-Ritz basis took 870 Gram applies here.
+    applies = _count_applies(monkeypatch)
+    conv_spectral_norm(init_cnn(4, seed=1569516577).kernels[2], (16, 16))
+    assert len(applies) < 400
 
 
 def test_image_conv_matches_conv2d_bit_for_bit_and_keeps_no_state():
