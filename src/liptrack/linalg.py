@@ -10,12 +10,12 @@ live in one array allocated once per solve, a restart keeps only a few
 Ritz vectors, and the projections and Ritz combinations are small GEMMs
 rather than loops of dots.  The conv applies (``models.conv_spectral_norm``)
 likewise keep their padded image, window view and patch matrix across
-steps, and write each image into the basis.  Long sums are blocked
-(``vector_dot``, ``stable_matmul``) and the solver's GEMMs cut to sizes
-OpenBLAS runs on one thread, so that the norms liptrack takes (dense
-matrices, and convs on the CNN's 32/16/8 grids) are the same at 1 and 2
-OpenBLAS 0.3.x threads.  That was measured, not derived: some other
-shapes still differ (see the CHANGES.md FOUND note on uneven conv grids).
+steps.  Long sums are blocked (``vector_dot``, ``stable_matmul``) and the
+solver's GEMMs cut to sizes OpenBLAS runs on one thread, so that the
+norms liptrack takes (dense matrices, and convs on the CNN's 32/16/8
+grids) are the same at 1 and 2 OpenBLAS 0.3.x threads.  That was
+measured, not derived: some other shapes still differ (see the
+CHANGES.md FOUND note on uneven conv grids).
 
 All analysis quantities are 64-bit floats.  Matrices are plain 2-D
 ``numpy`` arrays (row-major), vectors 1-D arrays.  Randomness always
@@ -25,7 +25,6 @@ stream in the toolkit.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -253,12 +252,11 @@ def _top_gram_eigenvalue(
             # Orthonormalize them again (Cholesky QR).  Without it their
             # rounding builds up over restarts, and the Ritz values, which
             # favour any direction whose norm grew, creep past the top one.
-            gram = _cross(kept[:k, 0], kept[:k].reshape(2 * k, n))[:, 0::2]
+            gram = _cross(kept[:k, 0], kept[:k, 0])
             _combine_rows(np.linalg.inv(np.linalg.cholesky(gram)), kept[:k].reshape(k, 2 * n),
                           basis[:k].reshape(k, 2 * n))
             vw = _cross(vecs[:k], basis[:k, 1])
             h[:k, :k] = np.triu(vw) + np.triu(vw, 1).T
-            y = np.eye(k)[keep - 1]
         # v_k: the residual minus its parts along the basis, normalized.
         v, gv = basis[k]
         np.copyto(v, work[0])
@@ -387,9 +385,7 @@ def spectral_norm_operator(
     3 random unit pairs before iterating, because a silently wrong
     adjoint makes the eigensolver converge to garbage.  The norm is the
     square root of the top eigenvalue of ``apply_adjoint(apply(.))`` from
-    :func:`_top_gram_eigenvalue`.  An ``apply_adjoint`` that takes an
-    ``out`` keyword (a C-contiguous array of ``in_shape``'s size) writes
-    each Gram image straight into the solver's basis.
+    :func:`_top_gram_eigenvalue`.
     """
     in_shape = tuple(int(d) for d in in_shape)
     out_shape = tuple(int(d) for d in out_shape)
@@ -407,12 +403,9 @@ def spectral_norm_operator(
                 f"adjoint check failed on pair {pair}: <Av,u>={lhs!r} vs <v,A'u>={rhs!r}"
             )
 
-    if "out" in inspect.signature(apply_adjoint).parameters:
-        def gram(v, out):
-            apply_adjoint(apply(v), out=out)
-    else:
-        def gram(v, out):
-            out[:] = np.ravel(apply_adjoint(apply(v)))
+    def gram(v, out):
+        out[:] = np.ravel(apply_adjoint(apply(v)))
+
     return math.sqrt(_top_gram_eigenvalue(gram, in_shape, rng, settings))
 
 

@@ -433,8 +433,7 @@ def conv_spectral_norm(kernel: np.ndarray, in_hw: tuple[int, int],
     on the implicit map instead of materializing the block-Toeplitz matrix
     of the convolution.  The forward and adjoint single-image applies are
     built once per call (:func:`_image_conv`) and reuse their padded image,
-    window view and patch matrix at every step; the adjoint writes each
-    Gram image straight into the solver's basis.
+    window view and patch matrix at every step.
     """
     c_out, c_in = kernel.shape[0], kernel.shape[1]
     h, w = in_hw
