@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -66,14 +67,11 @@ def _norm_stream(jacobians, batches) -> Iterator[np.ndarray]:
         yield batch_spectral_norms(jacobians(x))
 
 
-def _sup(norm_batches: Iterator[np.ndarray]) -> float:
-    return max((float(norms.max()) for norms in norm_batches), default=0.0)
-
-
 def _sup_mean(norm_batches: Iterator[np.ndarray]):
     """``(sup, mean, argmax_index)`` over a stream of norm batches, in stream order.
 
-    A NaN norm makes the sup NaN, and the index points at the first one."""
+    A NaN norm makes the sup NaN, whatever follows it, and the index points
+    at the first one.  Every sup in this module is taken here."""
     best = 0.0
     best_idx = 0
     total = 0.0
@@ -134,7 +132,6 @@ class ProbeSet:
     test_x: np.ndarray
     pair_count: int
     seed: int
-    lambdas: tuple = PROBE_LAMBDAS
 
     def __post_init__(self):
         if self.pair_count < 0:
@@ -143,7 +140,7 @@ class ProbeSet:
             raise ValueError("train and test probes must share the input dimension")
 
     def __len__(self) -> int:
-        return len(self.train_x) + len(self.test_x) + 2 * len(self.lambdas) * self.pair_count
+        return len(self.train_x) + len(self.test_x) + 2 * len(PROBE_LAMBDAS) * self.pair_count
 
     def batches(self) -> Iterator[np.ndarray]:
         """All probe points in their fixed order: train, test, then pairs."""
@@ -156,7 +153,7 @@ class ProbeSet:
         for src_idx, source in enumerate((self.train_x, self.test_x)):
             source = np.atleast_2d(np.asarray(source, dtype=np.float64))
             n = source.shape[0]
-            for lam_idx, lam in enumerate(self.lambdas):
+            for lam_idx, lam in enumerate(PROBE_LAMBDAS):
                 # One generator per (source, λ) block, drawing full-range
                 # 64-bit words (fixed consumption, no rejection), so a larger
                 # pair_count extends the block's pair sequence as a prefix and
@@ -175,7 +172,7 @@ class ProbeSet:
 
 def probe_bound(net, probe: ProbeSet) -> float:
     """Sup-Jacobian norm over the probe set (a superset of the train sup)."""
-    return _sup(_norm_stream(jacobian_stream(net), probe.batches()))
+    return _sup_mean(_norm_stream(jacobian_stream(net), probe.batches()))[0]
 
 
 def softmax_composed_lower_bound(net, samples: np.ndarray) -> float:
@@ -185,7 +182,8 @@ def softmax_composed_lower_bound(net, samples: np.ndarray) -> float:
     top; since softmax contracts, it never exceeds the plain estimate.
     """
     _check_softmax(net)
-    return _sup(_norm_stream(jacobian_stream(net, _softmax_cotangents), _row_batches(samples)))
+    jacobians = jacobian_stream(net, _softmax_cotangents)
+    return _sup_mean(_norm_stream(jacobians, _row_batches(samples)))[0]
 
 
 @dataclass
@@ -244,6 +242,9 @@ def build_report(net, samples: np.ndarray, snapshot: dict,
     if probe is not None:
         same = np.array_equal(samples, probe.train_x)
         batches = probe.beyond_train() if same else probe.batches()
-        c_probe = max(c_lower, _sup(_norm_stream(jacobians, batches)))
+        # c_lower leads the stream, so an empty remainder leaves it as the
+        # sup, and a NaN from either pass wins.
+        lead = np.array([c_lower])
+        c_probe = _sup_mean(chain([lead], _norm_stream(jacobians, batches)))[0]
     return LipschitzReport(c_lower=c_lower, c_avg_norm=c_avg, c_upper=upper_bound(net, settings),
                            c_probe=c_probe, softmax_composed=softmax_composed, snapshot=snapshot)

@@ -85,15 +85,14 @@ def _effective_config(args) -> ExperimentConfig:
         raise ConfigError(f"bad config value: {err}")
 
 
-def _load_data_ref(ref: str, kind: str | None):
+def _load_data_ref(ref: str):
     """Resolve a --data reference: 'synthetic', a CSV file/dir, or a CIFAR dir."""
     cfg = ExperimentConfig()
     if ref != "synthetic":
         path = Path(ref)
         if not path.exists():
             raise ConfigError(f"data reference not found: {path}")
-        if kind is None:
-            kind = "cifar10" if path.is_dir() and (path / "data_batch_1.bin").exists() else "mnist1d"
+        kind = "cifar10" if path.is_dir() and (path / "data_batch_1.bin").exists() else "mnist1d"
         cfg.dataset.update(kind=kind, path=path)
     return build_data(cfg)
 
@@ -145,7 +144,7 @@ def _cmd_bounds(args) -> int:
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     net, meta = load_checkpoint(ckpt_path)
-    data = _load_data_ref(args.data, args.data_kind)
+    data = _load_data_ref(args.data)
     probe = None
     if args.probe:
         probe = ProbeSet(data.train.inputs, data.test.inputs, args.pairs_per_lambda,
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True,
                    help="'synthetic', an MNIST1D CSV file/dir, or a CIFAR-10 dir")
-    p.add_argument("--data-kind", choices=["mnist1d", "cifar10"], default=None)
     p.add_argument("--probe", action="store_true", help="include the convex-combination probe set")
     p.add_argument("--pairs-per-lambda", type=_nonnegative_int, default=10000)
     p.add_argument("--probe-seed", type=int, default=0)

@@ -9,7 +9,6 @@ bit for bit.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,17 +109,18 @@ def _read_mnist1d_csv(path: Path, expect_split_column: bool) -> dict[str, tuple]
     """Parse one CSV; returns ``(labels, inputs)`` arrays by split name.
 
     Header must be exactly ``label,x0..x39`` (with a leading ``split``
-    column in single-file form).  The rows after it are parsed in one
-    vectorized pass.  When that pass cannot vouch for the file, the row
-    parser reads it again: it accepts what ``csv`` with ``int()`` labels
-    and ``float()`` features accepts (quoted fields, say), and any
-    malformed row fails with its row number so bad exports are easy to
-    locate.
+    column in single-file form).  ``np.loadtxt`` reads the rows after it.
+    A file it rejects goes to the row parser, which accepts what ``csv``
+    with ``int()`` labels and ``float()`` features accepts (quoted fields,
+    say), and fails on the first malformed row with its row number so bad
+    exports are easy to locate.
     """
     feature_names = [f"x{i}" for i in range(MNIST1D_DIM)]
     expected_header = (["split"] if expect_split_column else []) + ["label"] + feature_names
-    # Universal newlines: the vectorized pass sees "\n" line ends only.  The
-    # row parser reopens the file the way ``csv`` wants it.
+    # A longer split name is cut to six characters, which equal neither
+    # "train" nor "test".
+    fields = (([("split", "U6")] if expect_split_column else [])
+              + [("label", np.int64), ("x", np.float64, MNIST1D_DIM)])
     with open(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -129,11 +129,28 @@ def _read_mnist1d_csv(path: Path, expect_split_column: bool) -> dict[str, tuple]
             raise ValueError(f"{path}: empty file") from None
         if header != expected_header:
             raise ValueError(f"{path}:1: bad header {header[:4]}..., expected {expected_header[:4]}...")
+        # The blank-line check reads the body whole, and np.loadtxt then reads
+        # the rows again from the handle, without a copy.  Freeing the body
+        # also lifts glibc's dynamic trim threshold, without which the
+        # training that usually follows trims and re-grows the heap on every
+        # SGD step.
         body = fh.read()
-    parsed = _parse_mnist1d_body(body, len(expected_header), expect_split_column)
-    if parsed is None:
-        parsed = _parse_mnist1d_rows(path, len(expected_header), expect_split_column)
-    return parsed
+        rows = None
+        # np.loadtxt would skip a blank line ("\n\n" after universal newlines)
+        # and warn on an empty body; the row parser rejects the one and
+        # returns no rows for the other.
+        if body and body[0] != "\n" and "\n\n" not in body:
+            fh.seek(0)
+            next(fh)  # the header, one line since it matched
+            try:
+                rows = np.loadtxt(fh, dtype=fields, delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1)
+            except ValueError:
+                pass
+    splits = rows["split"] if rows is not None and expect_split_column else None
+    if rows is None or splits is not None and not np.isin(splits, ("train", "test")).all():
+        return _parse_mnist1d_rows(path, len(expected_header), expect_split_column)
+    return _grouped(splits, rows["label"], rows["x"])
 
 
 def _grouped(splits, labels: np.ndarray, inputs: np.ndarray) -> dict[str, tuple]:
@@ -141,34 +158,6 @@ def _grouped(splits, labels: np.ndarray, inputs: np.ndarray) -> dict[str, tuple]
         return {"all": (labels, inputs)}
     splits = np.asarray(splits)
     return {s: (labels[splits == s], inputs[splits == s]) for s in ("train", "test")}
-
-
-def _parse_mnist1d_body(body: str, columns: int, expect_split_column: bool):
-    """The rows after the header in one pass: labels by ``int()``, every
-    feature by one ``np.fromstring``.  Returns None, for the row parser to
-    decide, on anything outside unquoted lines of ``columns`` fields with
-    no ASCII whitespace, known splits, ``int()`` labels and finite
-    features.  (``np.fromstring`` reads a whitespace-only field as -1.)"""
-    if body.endswith("\n"):
-        body = body[:-1]
-    lines = body.split("\n") if body else []
-    if (any(c in body for c in '" \t\v\f')
-            or any(line.count(",") != columns - 1 for line in lines)):
-        return None
-    fields = [line.split(",", 2 if expect_split_column else 1) for line in lines]
-    splits = [f[0] for f in fields] if expect_split_column else None
-    if splits is not None and not set(splits) <= {"train", "test"}:
-        return None
-    try:
-        labels = [int(f[-2]) for f in fields]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            inputs = np.fromstring(",".join(f[-1] for f in fields), sep=",")
-    except (ValueError, DeprecationWarning):
-        return None
-    if inputs.size != len(lines) * MNIST1D_DIM or not np.isfinite(inputs).all():
-        return None
-    return _grouped(splits, np.array(labels, dtype=np.int64), inputs.reshape(-1, MNIST1D_DIM))
 
 
 def _parse_mnist1d_rows(path: Path, columns: int, expect_split_column: bool) -> dict[str, tuple]:

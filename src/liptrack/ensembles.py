@@ -79,8 +79,9 @@ def ensemble_lipschitz_lower(e: SeedEnsemble, samples: np.ndarray):
     ``c_bar_hat`` takes the Jacobian of the averaged function (mean of
     member Jacobians) before the sup; ``c_bar_zeta_hat`` averages each
     member's own sup, the member's ``lower_bound`` over the same chunks.
-    Jensen puts the first below the second.  Each member's Jacobians are
-    built once per chunk and feed both estimates.  Each member keeps one
+    Jensen puts the first below the second.  As in :mod:`~liptrack.bounds`,
+    a NaN norm makes a sup NaN wherever it falls.  Each member's Jacobians
+    are built once per chunk and feed both estimates.  Each member keeps one
     Jacobian stream (:func:`~liptrack.models.jacobian_stream`) over all the
     chunks; since a stream's result is overwritten by its next call, the
     mean is summed in its own array (sized by the first, largest chunk),
@@ -96,7 +97,7 @@ def ensemble_lipschitz_lower(e: SeedEnsemble, samples: np.ndarray):
     for xb in row_chunks(samples):
         for i, jacobians in enumerate(streams):
             jac = jacobians(xb)
-            per_seed[i] = max(per_seed[i], float(batch_spectral_norms(jac).max()))
+            per_seed[i] = float(np.maximum(per_seed[i], batch_spectral_norms(jac).max()))
             if i == 0:
                 if total is None:
                     total = np.empty_like(jac)
@@ -105,7 +106,7 @@ def ensemble_lipschitz_lower(e: SeedEnsemble, samples: np.ndarray):
             else:
                 mean_jac += jac
         mean_jac /= e.size
-        best = max(best, float(batch_spectral_norms(mean_jac).max()))
+        best = float(np.maximum(best, batch_spectral_norms(mean_jac).max()))
     return best, float(np.mean(per_seed))
 
 
@@ -188,7 +189,10 @@ def build_biasvar_report(e: SeedEnsemble, test_set, xprime_kind: str = "zero",
 
     ``xprime_kind`` names x′ for :func:`resolve_xprime`.  The row carries
     the bounds instantiated with both the measured lower estimates and the
-    provable upper estimates.
+    layer-product upper estimates.  The upper ones are certified only when
+    every layer norm is exact: dense layers whose smaller side is at most
+    ``EXACT_SIDE_CAP`` (128), which covers every depth-1 FF net on
+    40-dimensional inputs (ROADMAP item 1).
     """
     xprime = resolve_xprime(xprime_kind, test_set.inputs)
     bias_sq, variance, expected = decompose(e, test_set)

@@ -107,6 +107,30 @@ def test_sup_mean_reports_nan_norms_as_nan_not_negative():
     assert bounds._sup_mean(iter([np.array([1.0, 3.0]), np.array([3.0, 2.0])])) == (3.0, 2.25, 1)
 
 
+@pytest.mark.parametrize("norms", [(1.0, float("nan")), (float("nan"), 1.0)])
+def test_every_sup_keeps_a_nan_norm_wherever_it_falls(monkeypatch, norms):
+    # Stub norm batches [a] then [b], one per one-row chunk: the train pass
+    # and the probe remainder of a report, or a sample set's two chunks.
+    def stub():
+        values = iter(norms)
+        monkeypatch.setattr(bounds, "batch_spectral_norms",
+                            lambda jac: np.array([next(values)]))
+
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 1)
+    net = init_ff(4, [5], 3, seed=0)
+    x = make_rng(0, 30).standard_normal((2, 4))
+    probe = ProbeSet(x[:1], x[1:], pair_count=0, seed=0)
+    for softmax_composed in (False, True):
+        stub()
+        report = build_report(net, x[:1], {}, TIGHT, probe=probe,
+                              softmax_composed=softmax_composed)
+        assert np.isnan(report.c_probe)
+    stub()
+    assert np.isnan(probe_bound(net, probe))
+    stub()
+    assert np.isnan(softmax_composed_lower_bound(net, x))
+
+
 def test_upper_bound_is_product_of_layer_norms():
     net = init_ff(5, [8, 6], 3, seed=5)
     got = upper_bound(net, TIGHT)
@@ -347,6 +371,10 @@ def test_build_report_equals_public_estimators(monkeypatch, chunk):
     bases = ProbeSet(tr, te, pair_count=0, seed=2)
     other = build_report(net, te, {}, TIGHT, probe=bases)
     assert other.c_probe == c_lower > other.c_lower
+
+    # A probe set that is the sample set alone leaves nothing to scan.
+    alone = build_report(net, tr, {}, TIGHT, probe=ProbeSet(tr, te[:0], pair_count=0, seed=2))
+    assert alone.c_probe == alone.c_lower == c_lower
 
 
 @pytest.mark.parametrize("softmax_composed", [False, True])

@@ -1,10 +1,12 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liptrack import datasets
 from liptrack.datasets import (
     DataPair,
     Dataset,
@@ -187,23 +189,54 @@ def test_replay_mutations_reproduces_chain():
 # MNIST1D CSV contract
 
 
-def write_mnist1d_rows(path, rows, with_split, quoting=csv.QUOTE_MINIMAL):
+def write_mnist1d_rows(path, rows, with_split, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n"):
     header = (["split"] if with_split else []) + ["label"] + [f"x{i}" for i in range(40)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, quoting=quoting)
+        w = csv.writer(fh, quoting=quoting, lineterminator=lineterminator)
         w.writerow(header)
         for row in rows:
             w.writerow(row)
 
 
-def make_rows(n, split, seed):
+def make_rows(n, split, seed, mixed=False):
+    """Rows of repr() floats; ``mixed`` writes every fourth feature as a
+    25-digit decimal (exponents up to ±300) and every ninth as a nan/inf token."""
     rng = make_rng(seed, 101)
     out = []
     for _ in range(n):
         label = int(rng.integers(0, 10))
         feats = [repr(float(v)) for v in rng.standard_normal(40)]
+        if mixed:
+            for j in range(0, 40, 4):
+                feats[j] = f"{rng.standard_normal():.25f}e{int(rng.integers(-300, 300))}"
+            for j in range(1, 40, 9):
+                feats[j] = ["nan", "-inf", "inf", "-nan", "Infinity"][int(rng.integers(0, 5))]
         out.append(([split] if split else []) + [str(label)] + feats)
     return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def load_fast_and_by_rows(monkeypatch, path):
+    """``load_mnist1d(path)`` with the row parser switched off, and the row
+    parser's ``(labels, inputs)`` by split for the same file(s)."""
+    parse_rows = datasets._parse_mnist1d_rows
+
+    def by_rows(split):
+        if path.is_dir():
+            return parse_rows(path / f"{split}.csv", 41, False)["all"]
+        return parse_rows(path, 42, True)[split]
+
+    def refuse(csv_path, *args):
+        raise AssertionError(f"{csv_path}: np.loadtxt left it to the row parser")
+
+    want = {split: by_rows(split) for split in ("train", "test")}
+    with monkeypatch.context() as m:
+        m.setattr(datasets, "_parse_mnist1d_rows", refuse)
+        loaded = load_mnist1d(path)
+    return loaded, want
 
 
 def test_load_mnist1d_directory_round_trip(tmp_path):
@@ -220,21 +253,24 @@ def test_load_mnist1d_directory_round_trip(tmp_path):
     assert train.labels[17] == int(train_rows[17][0])
 
 
-def test_load_mnist1d_single_file_matches_directory(tmp_path):
-    train_rows = make_rows(4000, "train", seed=0)
-    test_rows = make_rows(1000, "test", seed=1)
+def test_load_mnist1d_single_file_matches_directory(tmp_path, monkeypatch):
+    train_rows = make_rows(4000, "train", seed=0, mixed=True)
+    test_rows = make_rows(1000, "test", seed=1, mixed=True)
     combined = tmp_path / "all.csv"
     # Interleave splits to prove grouping is by the split column, not order.
     mixed = test_rows[:500] + train_rows + test_rows[500:]
-    write_mnist1d_rows(combined, mixed, with_split=True)
-    train, test = load_mnist1d(combined)
+    write_mnist1d_rows(combined, mixed, with_split=True, quoting=csv.QUOTE_ALL)
+    (train, test), want = load_fast_and_by_rows(monkeypatch, combined)
+    for d in (train, test):
+        assert same_bits(d.labels, want[d.split][0])
+        assert same_bits(d.inputs, want[d.split][1])
 
     write_mnist1d_rows(tmp_path / "train.csv", [r[1:] for r in train_rows], with_split=False)
     write_mnist1d_rows(tmp_path / "test.csv", [r[1:] for r in test_rows], with_split=False)
     dtrain, dtest = load_mnist1d(tmp_path)
-    assert np.array_equal(train.inputs, dtrain.inputs)
-    assert np.array_equal(train.labels, dtrain.labels)
-    assert np.array_equal(test.inputs, dtest.inputs)
+    assert same_bits(train.inputs, dtrain.inputs)
+    assert same_bits(train.labels, dtrain.labels)
+    assert same_bits(test.inputs, dtest.inputs)
 
 
 def test_load_mnist1d_error_reporting(tmp_path):
@@ -254,21 +290,57 @@ def test_load_mnist1d_error_reporting(tmp_path):
     with pytest.raises(ValueError, match=r"bad\.csv:3: 10 columns"):
         load_mnist1d(f)
 
-    rows = make_rows(3, "train", seed=0)
-    rows[2][5] = "abc"
-    write_mnist1d_rows(f, rows, with_split=True)
-    with pytest.raises(ValueError, match=r"bad\.csv:4: non-numeric"):
-        load_mnist1d(f)
+    # Blank, whitespace-only and comment lines are malformed rows too.
+    for lines, at, where in (([], 1, "3: 0"), ([], 3, "5: 0"), (["   "], 1, "3: 1"),
+                             (["# note"], 1, "3: 1")):
+        for lineterminator in ("\r\n", "\n"):
+            rows = make_rows(3, "train", seed=0)
+            rows.insert(at, lines)
+            write_mnist1d_rows(f, rows, with_split=True, lineterminator=lineterminator)
+            with pytest.raises(ValueError, match=rf"bad\.csv:{where} columns, expected 42"):
+                load_mnist1d(f)
+
+    d = tmp_path / "dir"
+    d.mkdir()
+    rows = make_rows(3, None, seed=0)
+    rows[1].append("1.0")
+    write_mnist1d_rows(d / "train.csv", rows, with_split=False)
+    write_mnist1d_rows(d / "test.csv", make_rows(3, None, seed=1), with_split=False)
+    with pytest.raises(ValueError, match=r"train\.csv:3: 42 columns, expected 41"):
+        load_mnist1d(d)
+
+    # A quoted line break inside a number is not a separator.
+    for value in ("abc", "1\n5"):
+        rows = make_rows(3, "train", seed=0)
+        rows[2][5] = value
+        write_mnist1d_rows(f, rows, with_split=True)
+        with pytest.raises(ValueError, match=r"bad\.csv:4: non-numeric"):
+            load_mnist1d(f)
 
     rows = make_rows(2, "valid", seed=0)
     write_mnist1d_rows(f, rows, with_split=True)
     with pytest.raises(ValueError, match="unknown split 'valid'"):
         load_mnist1d(f)
 
+    # Names longer than "train" or "test", not only other ones.
+    for split in ("trainx", "testing"):
+        rows = make_rows(3, "train", seed=0)
+        rows[2][0] = split
+        write_mnist1d_rows(f, rows, with_split=True)
+        with pytest.raises(ValueError, match=rf"bad\.csv:4: unknown split '{split}'"):
+            load_mnist1d(f)
+
     rows = make_rows(5, "train", seed=0)
     write_mnist1d_rows(f, rows, with_split=True)
     with pytest.raises(ValueError, match="5 train rows, expected 4000"):
         load_mnist1d(f)
+
+    # A header alone is zero rows, and reading it warns of nothing.
+    write_mnist1d_rows(f, [], with_split=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="0 train rows, expected 4000"):
+            load_mnist1d(f)
 
 
 def test_load_mnist1d_labels_accept_what_int_accepts(tmp_path):
@@ -284,21 +356,31 @@ def test_load_mnist1d_labels_accept_what_int_accepts(tmp_path):
         load_mnist1d(f)
 
 
-def test_load_mnist1d_quoted_fields_load_the_same_arrays(tmp_path):
-    train_rows = make_rows(4000, None, seed=0)
-    test_rows = make_rows(1000, None, seed=1)
+def test_load_mnist1d_quoted_fields_load_the_same_arrays(tmp_path, monkeypatch):
+    # Quoted or not, CRLF or LF line ends: the same bits as the row parser's
+    # int() and float(), without falling back to it.
+    train_rows = make_rows(4000, None, seed=0, mixed=True)
+    test_rows = make_rows(1000, None, seed=1, mixed=True)
     loaded = []
-    for name, quoting in (("plain", csv.QUOTE_MINIMAL), ("quoted", csv.QUOTE_ALL)):
-        d = tmp_path / name
-        d.mkdir()
-        write_mnist1d_rows(d / "train.csv", train_rows, with_split=False, quoting=quoting)
-        write_mnist1d_rows(d / "test.csv", test_rows, with_split=False, quoting=quoting)
-        loaded.append(load_mnist1d(d))
-    assert '"' in (tmp_path / "quoted" / "train.csv").read_text()
-    for plain, quoted in zip(*loaded):
-        assert np.array_equal(plain.inputs, quoted.inputs)
-        assert np.array_equal(plain.labels, quoted.labels)
-    assert loaded[1][0].inputs[17, 3] == float(train_rows[17][4])
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        for lineterminator in ("\r\n", "\n"):
+            d = tmp_path / f"q{quoting}-{len(lineterminator)}"
+            d.mkdir()
+            for name, rows in (("train.csv", train_rows), ("test.csv", test_rows)):
+                write_mnist1d_rows(d / name, rows, with_split=False, quoting=quoting,
+                                   lineterminator=lineterminator)
+            pair, want = load_fast_and_by_rows(monkeypatch, d)
+            for split in pair:
+                assert same_bits(split.labels, want[split.split][0])
+                assert same_bits(split.inputs, want[split.split][1])
+            loaded.append(pair)
+    assert '"' in (tmp_path / f"q{csv.QUOTE_ALL}-1" / "train.csv").read_text()
+    for pair in loaded[1:]:
+        for plain, other in zip(loaded[0], pair):
+            assert same_bits(plain.inputs, other.inputs)
+            assert same_bits(plain.labels, other.labels)
+    assert loaded[-1][0].inputs[17, 3] == float(train_rows[17][4])
+    assert np.isnan(loaded[-1][0].inputs).any() and np.isinf(loaded[-1][0].inputs).any()
 
 
 def test_load_mnist1d_missing_split_file(tmp_path):

@@ -21,7 +21,7 @@ from liptrack.ensembles import (
     variance_bound,
     write_biasvar_csv,
 )
-from liptrack import linalg
+from liptrack import ensembles, linalg
 from liptrack.harness import ExperimentConfig
 from liptrack.linalg import PowerIterSettings, make_rng, svd_oracle
 from liptrack.models import init_ff
@@ -151,6 +151,23 @@ def test_ensemble_lipschitz_lower_matches_separate_passes(monkeypatch):
                 best = max(best, float(batch_spectral_norms(mean_jac).max()))
             per_seed = [lower_bound(m, x)[0] for m in e.members]
             assert ensemble_lipschitz_lower(e, x) == (best, float(np.mean(per_seed)))
+
+
+@pytest.mark.parametrize("norms", [(1.0, float("nan")), (float("nan"), 1.0)])
+def test_ensemble_lower_constants_keep_a_nan_norm(monkeypatch, norms):
+    # Stub norms: both members and the mean see [a] on the first one-row
+    # chunk and [b] on the second, three norm calls per chunk.
+    calls = []
+
+    def stub(jac):
+        calls.append(jac)
+        return np.array([norms[(len(calls) - 1) // 3]])
+
+    monkeypatch.setattr(linalg, "ROW_CHUNK", 1)
+    monkeypatch.setattr(ensembles, "batch_spectral_norms", stub)
+    c_bar, c_bar_zeta = ensemble_lipschitz_lower(random_ensemble(n_members=2), np.ones((2, 8)))
+    assert len(calls) == 6
+    assert np.isnan(c_bar) and np.isnan(c_bar_zeta)
 
 
 def test_variance_at_and_mean_sq_dist_oracles():
