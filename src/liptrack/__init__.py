@@ -9,8 +9,7 @@ double descent in both test loss and the Lipschitz estimates.
 
 __version__ = "0.1.0"
 
-from .linalg import (ORACLE_DIM_CAP, PowerIterSettings, make_rng, materialize_operator,
-                     spectral_norm_dense, spectral_norm_operator, svd_oracle,
+from .linalg import (PowerIterSettings, make_rng, spectral_norm_dense, spectral_norm_operator,
                      vector_norm)
 from .models import (CnnNet, FFReluNet, conv2d, conv2d_adjoint, conv_spectral_norm,
                      init_cnn, init_ff, load_checkpoint, param_distance, save_checkpoint)
@@ -19,7 +18,7 @@ from .training import (Adam, DivergenceError, EpochRecord, LrSchedule, Sgd, Stop
                        one_hot, param_grad, schedule_coeff, train, updates_per_epoch)
 from .datasets import (DataPair, Dataset, load_cifar10, load_mnist1d, read_cifar_batch,
                        replay_mutations, shuffle_labels, subsample, synthetic_fallback)
-from .bounds import (LipschitzReport, ProbeSet, batch_spectral_norms, build_report,
+from .bounds import (ESTIMATES, ProbeSet, batch_spectral_norms, build_report, estimates,
                      lower_bound, probe_bound, softmax_composed_lower_bound, upper_bound)
 from .ensembles import (BoundConstants, SeedEnsemble, build_biasvar_report, decompose,
                         ensemble_lipschitz_lower, lower_estimates, sweep_biasvar,

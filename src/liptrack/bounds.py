@@ -5,13 +5,15 @@ norms; the upper estimate is the product of per-layer operator norms
 (activations and pooling are 1-Lipschitz and contribute a factor of 1).
 A probe set of convex sample combinations tightens the lower estimate
 without leaving the data's convex hull.
+
+``ESTIMATES`` declares which estimates every net gets and in what order;
+sweep records, ``summary.csv`` and the ``bounds`` report all read it.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
@@ -93,14 +95,15 @@ def _check_softmax(net) -> None:
         raise ValueError("softmax composition needs at least 2 outputs")
 
 
-def lower_bound(net, samples: np.ndarray):
+def lower_bound(net, samples: np.ndarray, jacobians=None):
     """Sup and mean of the input-Jacobian spectral norm over a sample set.
 
     Returns ``(c_lower, c_avg, argmax_index)``; the index points at the
     sample attaining the sup.  Streams in chunks with a fixed reduction
     order, so results are deterministic and memory stays flat.
+    ``jacobians`` defaults to the net's plain :func:`~liptrack.models.jacobian_stream`.
     """
-    return _sup_mean(_norm_stream(jacobian_stream(net), _row_batches(samples)))
+    return _sup_mean(_norm_stream(jacobians or jacobian_stream(net), _row_batches(samples)))
 
 
 def upper_bound(net, settings: PowerIterSettings = PowerIterSettings()) -> float:
@@ -182,50 +185,42 @@ def softmax_composed_lower_bound(net, samples: np.ndarray) -> float:
     top; since softmax contracts, it never exceeds the plain estimate.
     """
     _check_softmax(net)
-    jacobians = jacobian_stream(net, _softmax_cotangents)
-    return _sup_mean(_norm_stream(jacobians, _row_batches(samples)))[0]
+    return lower_bound(net, samples, jacobian_stream(net, _softmax_cotangents))[0]
 
 
-@dataclass
-class LipschitzReport:
-    """One checkpoint's bound estimates, ordered c_avg_norm ≤ c_lower ≤ c_probe ≤ c_upper."""
+# Every per-net estimate, in record order: the names one call yields, each
+# with its side (average, lower or upper), and the call.  The calls look
+# lower_bound and upper_bound up by name, so a tracer that replaces those
+# names sees every call.
+ESTIMATES = (
+    ({"c_lower": "lower", "c_avg_norm": "average"},  # one Jacobian pass
+     lambda net, x, settings, jacobians: lower_bound(net, x, jacobians)[:2]),
+    ({"c_upper": "upper"}, lambda net, x, settings, jacobians: (upper_bound(net, settings),)),
+)
 
-    c_lower: float
-    c_avg_norm: float
-    c_upper: float
-    c_probe: float | None
-    softmax_composed: bool
-    snapshot: dict
 
-    def probe_fidelity(self) -> float | None:
-        """Where c_probe sits in [c_lower, c_upper], as a fraction of the gap."""
-        if self.c_probe is None:
-            return None
-        gap = self.c_upper - self.c_lower
-        if gap <= 0:
-            return 0.0
-        return (self.c_probe - self.c_lower) / gap
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        fid = self.probe_fidelity()
-        if fid is not None:
-            out["probe_fidelity"] = fid
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+def estimates(net, samples: np.ndarray, settings: PowerIterSettings = PowerIterSettings(),
+              jacobians=None) -> dict:
+    """Every ``ESTIMATES`` value of ``net`` on ``samples``, by name in table
+    order; ``jacobians`` is the stream the Jacobian-based entries draw on."""
+    out = {}
+    for sides, produce in ESTIMATES:
+        out.update(zip(sides, produce(net, samples, settings, jacobians)))
+    return out
 
 
 def build_report(net, samples: np.ndarray, snapshot: dict,
                  settings: PowerIterSettings = PowerIterSettings(),
                  probe: ProbeSet | None = None,
-                 softmax_composed: bool = False) -> LipschitzReport:
-    """Assemble the full report for one checkpoint.
+                 softmax_composed: bool = False) -> dict:
+    """The ``bounds`` report of one checkpoint, as the JSON object it prints:
+    the ``estimates``, then ``c_probe``, ``softmax_composed``, ``snapshot``
+    and, with a probe set, ``probe_fidelity``: where c_probe sits in
+    [c_lower, c_upper], as a fraction of the gap.
 
     With ``softmax_composed`` the lower and probe estimates describe
     softmax ∘ net; the upper estimate is unchanged because softmax is
-    1-Lipschitz, so the ordering invariant still holds.
+    1-Lipschitz, so c_avg_norm ≤ c_lower ≤ c_probe ≤ c_upper still holds.
 
     Each sample's Jacobian is built once: one pass over ``samples`` gives
     both ``c_lower`` and ``c_avg_norm``.  When the probe's train part
@@ -237,14 +232,15 @@ def build_report(net, samples: np.ndarray, snapshot: dict,
     if softmax_composed:
         _check_softmax(net)
     jacobians = jacobian_stream(net, _softmax_cotangents if softmax_composed else None)
-    c_lower, c_avg, _ = _sup_mean(_norm_stream(jacobians, _row_batches(samples)))
-    c_probe = None
+    report = {**estimates(net, samples, settings, jacobians), "c_probe": None,
+              "softmax_composed": softmax_composed, "snapshot": snapshot}
     if probe is not None:
         same = np.array_equal(samples, probe.train_x)
         batches = probe.beyond_train() if same else probe.batches()
         # c_lower leads the stream, so an empty remainder leaves it as the
         # sup, and a NaN from either pass wins.
-        lead = np.array([c_lower])
-        c_probe = _sup_mean(chain([lead], _norm_stream(jacobians, batches)))[0]
-    return LipschitzReport(c_lower=c_lower, c_avg_norm=c_avg, c_upper=upper_bound(net, settings),
-                           c_probe=c_probe, softmax_composed=softmax_composed, snapshot=snapshot)
+        c_lower = report["c_lower"]
+        c_probe = _sup_mean(chain([np.array([c_lower])], _norm_stream(jacobians, batches)))[0]
+        gap = report["c_upper"] - c_lower
+        report.update(c_probe=c_probe, probe_fidelity=0.0 if gap <= 0 else (c_probe - c_lower) / gap)
+    return report

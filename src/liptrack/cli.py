@@ -152,7 +152,7 @@ def _cmd_bounds(args) -> int:
     report = build_report(net, data.train.inputs,
                           {"arch": meta["arch"], "seed": meta["seed"], "epoch": meta["epoch"]},
                           probe=probe, softmax_composed=args.softmax)
-    print(report.to_json())
+    print(json.dumps(report))
     return 0
 
 

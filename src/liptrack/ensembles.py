@@ -125,16 +125,15 @@ def mean_sq_dist(x: np.ndarray, xprime: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Values plugged in for the two Lipschitz constants, with their origin."""
+    """Values plugged in for the two Lipschitz constants."""
 
     c_bar: float
     c_bar_zeta: float
-    label: str  # "lower" or "upper"
 
 
 def lower_estimates(e: SeedEnsemble, samples: np.ndarray) -> BoundConstants:
     c_bar_hat, c_bar_zeta_hat = ensemble_lipschitz_lower(e, samples)
-    return BoundConstants(c_bar_hat, c_bar_zeta_hat, "lower")
+    return BoundConstants(c_bar_hat, c_bar_zeta_hat)
 
 
 def upper_estimates(e: SeedEnsemble, settings: PowerIterSettings = PowerIterSettings()) -> BoundConstants:
@@ -142,7 +141,7 @@ def upper_estimates(e: SeedEnsemble, settings: PowerIterSettings = PowerIterSett
     # seeds serves for the ensembled function and the per-seed average alike.
     uppers = [upper_bound(m, settings) for m in e.members]
     mean_upper = float(np.mean(uppers))
-    return BoundConstants(mean_upper, mean_upper, "upper")
+    return BoundConstants(mean_upper, mean_upper)
 
 
 def variance_bound(e: SeedEnsemble, test_set, xprime: np.ndarray | None,

@@ -20,8 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .bounds import lower_bound, upper_bound
+from . import __version__, bounds
+# lower_bound is called through bounds.estimates but stays bound here:
+# perfbench's tracer patches it by name in every module that imports it.
+from .bounds import lower_bound  # noqa: F401
 from .datasets import (DataPair, load_cifar10, load_mnist1d, shuffle_labels, subsample,
                        synthetic_fallback)
 from .linalg import PowerIterSettings
@@ -33,12 +35,6 @@ from .training import (DivergenceError, StopRule, STOP_THRESHOLDS, default_stop,
 AXIS_SIZES = {"width": "widths", "depth": "depths", "samples": "samples_list",
               "noise": "noise_list"}
 SWEEP_AXES = tuple(AXIS_SIZES)
-
-SUMMARY_METRICS = ("train_loss", "test_loss", "c_lower", "c_avg_norm", "c_upper",
-                   "param_dist", "grad_norm")
-
-RECORD_KEYS = ("config_hash", "size", "seed", "epoch", "train_loss", "test_loss",
-               "c_lower", "c_avg_norm", "c_upper", "param_dist", "grad_norm", "eta")
 
 ENV_WORKERS = "LIPTRACK_WORKERS"
 
@@ -263,14 +259,11 @@ def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int):
     records = []
 
     def log(epoch, current, rec):
-        c_low, c_avg, _ = lower_bound(current, data.train_x)
         records.append({
             "config_hash": chash, "size": size, "seed": seed, "epoch": epoch,
             "train_loss": rec.train_loss, "test_loss": rec.test_loss,
-            "c_lower": c_low, "c_avg_norm": c_avg,
-            "c_upper": upper_bound(current, settings),
-            "param_dist": rec.param_dist,
-            "grad_norm": rec.grad_norm, "eta": rec.eta})
+            **bounds.estimates(current, data.train_x, settings),
+            "param_dist": rec.param_dist, "grad_norm": rec.grad_norm, "eta": rec.eta})
 
     train_cell(cell_cfg, net, data, seed, on_epoch=log, eval_every=cfg.eval_every)
     return records
@@ -332,8 +325,15 @@ def final_records(records) -> dict:
     return finals
 
 
+def summary_metrics() -> tuple:
+    """The record keys ``summary.csv`` aggregates, estimates in ``ESTIMATES`` order."""
+    names = [name for sides, _ in bounds.ESTIMATES for name in sides]
+    return ("train_loss", "test_loss", *names, "param_dist", "grad_norm")
+
+
 def summarize(records) -> list[dict]:
     """Seed-averaged summary: mean/min/max of each final-epoch metric per size."""
+    metrics = summary_metrics()
     finals = final_records(records)
     by_size: dict = {}
     for (size, _seed), rec in sorted(finals.items(), key=lambda kv: (float(kv[0][0]), kv[0][1])):
@@ -342,7 +342,7 @@ def summarize(records) -> list[dict]:
     for size in sorted(by_size, key=lambda s: float(s)):
         cell = by_size[size]
         row = {"size": size, "seeds": len(cell)}
-        for metric in SUMMARY_METRICS:
+        for metric in metrics:
             values = [r[metric] for r in cell]
             row[f"{metric}_mean"] = float(np.mean(values))
             row[f"{metric}_min"] = float(np.min(values))
@@ -353,7 +353,7 @@ def summarize(records) -> list[dict]:
 
 def summary_columns() -> list[str]:
     cols = ["size", "seeds"]
-    for metric in SUMMARY_METRICS:
+    for metric in summary_metrics():
         cols += [f"{metric}_mean", f"{metric}_min", f"{metric}_max"]
     return cols
 
@@ -361,7 +361,7 @@ def summary_columns() -> list[str]:
 def write_records_jsonl(records, path) -> None:
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps({k: rec[k] for k in RECORD_KEYS}) + "\n")
+            fh.write(json.dumps(rec) + "\n")
 
 
 def read_records_jsonl(path) -> list[dict]:

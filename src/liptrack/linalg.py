@@ -1,4 +1,4 @@
-"""Seeded randomness, spectral norms, an exact oracle, and the row slices
+"""Seeded randomness, spectral norms, and the row slices
 (``ROW_CHUNK``, ``row_chunks``) that every sample-set pass takes.  Dense norms are
 exact up to ``EXACT_SIDE_CAP`` on the smaller side; wider dense matrices
 and implicit operators (the convs) get an iterative eigensolver on their
@@ -30,9 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-# Side cap for the exact oracle; it is O(n^3) per sweep and meant for tests.
-ORACLE_DIM_CAP = 512
 
 # Largest smaller side whose dense norm is exact: up to here eigvalsh of the
 # Gram gives the same bits at 1 and 2 OpenBLAS threads (from side 224 it did not).
@@ -314,60 +311,6 @@ def spectral_norm_dense(m: np.ndarray, settings: PowerIterSettings = PowerIterSe
     return math.sqrt(rho)
 
 
-def _jacobi_max_eigenvalue(g: np.ndarray, tol: float = 1e-15, max_sweeps: int = 50) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by cyclic Jacobi sweeps."""
-    a = np.array(g, dtype=np.float64)
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return 0.0
-    skip = tol * scale / n
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(float(np.sum(a * a) - np.sum(np.diag(a) ** 2)), 0.0))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return float(np.max(np.diag(a)))
-
-
-def svd_oracle(m: np.ndarray) -> float:
-    """Largest singular value via Jacobi rotations on the Gram matrix.
-
-    Independent of the LAPACK and Krylov-solver paths; the ground truth in
-    tests.  Capped at 512 per side because each sweep is cubic.
-    """
-    m = _as_matrix(m)
-    rows, cols = m.shape
-    if rows > ORACLE_DIM_CAP or cols > ORACLE_DIM_CAP:
-        raise ValueError(f"oracle capped at {ORACLE_DIM_CAP} per side, got {rows}x{cols}")
-    gram = m.T @ m if cols <= rows else m @ m.T
-    lam = _jacobi_max_eigenvalue(gram)
-    return math.sqrt(max(lam, 0.0))
-
-
 LinearMap = Callable[[np.ndarray], np.ndarray]
 
 
@@ -407,18 +350,3 @@ def spectral_norm_operator(
         out[:] = np.ravel(apply_adjoint(apply(v)))
 
     return math.sqrt(_top_gram_eigenvalue(gram, in_shape, rng, settings))
-
-
-def materialize_operator(apply: LinearMap, in_shape: Sequence[int]) -> np.ndarray:
-    """Build the dense matrix of a linear map column-by-column via unit impulses.
-
-    Test-scale only: calls ``apply`` once per input coordinate.
-    """
-    in_shape = tuple(int(d) for d in in_shape)
-    n_in = int(np.prod(in_shape))
-    cols = []
-    for j in range(n_in):
-        e = np.zeros(n_in)
-        e[j] = 1.0
-        cols.append(np.asarray(apply(e.reshape(in_shape))).ravel())
-    return np.stack(cols, axis=1)

@@ -85,15 +85,6 @@ class _ZeroBiasNet:
     def param_vector(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.weight_arrays()])
 
-    def set_param_vector(self, theta: np.ndarray) -> None:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.param_count,):
-            raise ValueError(f"parameter vector length {theta.shape}, expected ({self.param_count},)")
-        ofs = 0
-        for a in self.weight_arrays():
-            a[...] = theta[ofs:ofs + a.size].reshape(a.shape)
-            ofs += a.size
-
 
 class FFReluNet(_ZeroBiasNet):
     """Fully-connected net: zero-bias linear layers, ReLU after every one.

@@ -6,7 +6,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -289,14 +288,6 @@ class TrainTrace:
                 row = rec.to_dict()
                 row["wall_ms"] = None
                 fh.write(json.dumps(row) + "\n")
-
-
-def read_trace_jsonl(path) -> TrainTrace:
-    trace = TrainTrace()
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            trace.records.append(EpochRecord(**json.loads(line)))
-    return trace
 
 
 # ---------------------------------------------------------------------------

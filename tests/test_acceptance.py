@@ -6,6 +6,8 @@ the run log.  The desk-scale width sweep and the qualitative-trend runs are
 module-scoped because they take minutes; everything else runs in seconds.
 """
 
+import csv
+import json
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -13,7 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from liptrack import bounds
 from liptrack.bounds import ProbeSet, build_report, lower_bound, softmax_composed_lower_bound
+from liptrack.cli import main as cli_main
 from liptrack.datasets import DataPair, synthetic_fallback
 from liptrack.ensembles import (
     SeedEnsemble,
@@ -32,9 +36,10 @@ from liptrack.harness import (
     cnn_param_count,
     ff_param_count,
     interpolation_threshold,
+    read_records_jsonl,
     run_sweep,
 )
-from liptrack.linalg import PowerIterSettings, make_rng, materialize_operator, svd_oracle, spectral_norm_dense
+from liptrack.linalg import PowerIterSettings, make_rng, spectral_norm_dense
 from liptrack.models import conv2d, conv_spectral_norm, init_cnn, init_ff
 from liptrack.training import (
     LrSchedule,
@@ -47,6 +52,7 @@ from liptrack.training import (
     train,
 )
 from tests.conftest import active_input
+from tests.oracles import materialize_operator, set_param_vector, svd_oracle
 
 TIGHT = PowerIterSettings(max_iters=5000, rel_tol=1e-13, seed=0)
 
@@ -225,10 +231,10 @@ def test_03_gradients_match_central_finite_differences(capsys):
             for i in range(theta.size):
                 tp = theta.copy()
                 tp[i] += h
-                work.set_param_vector(tp)
+                set_param_vector(work, tp)
                 up = dataset_loss(work, xb, yb, kind)
                 tp[i] -= 2 * h
-                work.set_param_vector(tp)
+                set_param_vector(work, tp)
                 down = dataset_loss(work, xb, yb, kind)
                 fd_grad[i] = (up - down) / (2 * h)
             assert np.max(np.abs(fd_grad - grad)) < 1e-5
@@ -279,13 +285,36 @@ def test_05_interpolation_thresholds(capsys):
 # 6: bound ordering on every checkpoint
 
 
+def bound_chain(after_lower=()) -> list[list[str]]:
+    """Test 6's chain, read from ``bounds.ESTIMATES``: groups of names, and
+    no value of a group may exceed a value of the next one.  The average
+    side comes first, then each lower-side name on its own in table order,
+    then ``after_lower``, then the upper side."""
+    by_side = {"average": [], "lower": [], "upper": []}
+    for sides, _ in bounds.ESTIMATES:
+        for name, side in sides.items():
+            by_side[side].append(name)
+    groups = [by_side["average"], *([name] for name in by_side["lower"] + list(after_lower)),
+              by_side["upper"]]
+    return [g for g in groups if g]
+
+
+def assert_chain(values: dict, chain) -> None:
+    for below, above in zip(chain, chain[1:]):
+        low = np.max([values[name] for name in below])
+        high = np.min([values[name] for name in above])
+        assert low <= high, (below, above, values)
+
+
 def test_06_bound_ordering_never_violated(capsys, desk_sweep, trend_runs):
-    with verdict(capsys, " 6 c_avg_norm <= c_lower <= c_probe <= c_upper on every checkpoint"):
+    report_chain = bound_chain(after_lower=["c_probe"])
+    label = " <= ".join("/".join(group) for group in report_chain)
+    with verdict(capsys, f" 6 {label} on every checkpoint"):
         _, desk_records, _, _, _ = desk_sweep
         all_records = desk_records + trend_runs["records"]
         assert len(all_records) > 200
         for rec in all_records:
-            assert rec["c_avg_norm"] <= rec["c_lower"] <= rec["c_upper"]
+            assert_chain(rec, bound_chain())
 
         # Probe estimates are not part of sweep records, so the full chain
         # is checked on freshly trained nets with real probe sets.
@@ -300,7 +329,45 @@ def test_06_bound_ordering_never_violated(capsys, desk_sweep, trend_runs):
                   StopRule(1e-12, epochs, epochs), 128, seed=11)
             report = build_report(net, pair.train_x, {"epoch": epochs}, TIGHT,
                                   probe=probe, softmax_composed=softmax)
-            assert report.c_avg_norm <= report.c_lower <= report.c_probe <= report.c_upper
+            assert_chain(report, report_chain)
+
+
+def test_an_estimate_entry_reaches_every_output(monkeypatch, tmp_path, capsys):
+    # One more ESTIMATES entry shows up in records.jsonl, summary.csv, the
+    # bounds report and test 6's chain, with no other edit.
+    assert bound_chain(["c_probe"]) == [["c_avg_norm"], ["c_lower"], ["c_probe"], ["c_upper"]]
+    dummy = ({"c_dummy": "upper"},
+             lambda net, x, settings, jacobians: (2 * bounds.upper_bound(net, settings),))
+    monkeypatch.setattr(bounds, "ESTIMATES", bounds.ESTIMATES + (dummy,))
+    monkeypatch.delenv("LIPTRACK_WORKERS", raising=False)
+    small = ["--set", "dataset.n_train=40", "--set", "dataset.n_test=10", "--set", "seeds=[0]",
+             "--set", "max_epochs=2", "--set", "eval_every=1", "--set", "batch_size=20",
+             "--set", "width=5"]
+    assert cli_main(["sweep", "--axis", "width", "--set", "widths=[4]", *small,
+                     "--out", str(tmp_path / "sweep")]) == 0
+    run_dir = next((tmp_path / "sweep").glob("run-*"))
+    records = read_records_jsonl(run_dir / "records.jsonl")
+    assert len(records) == 3
+    for rec in records:
+        assert list(rec)[6:10] == ["c_lower", "c_avg_norm", "c_upper", "c_dummy"]
+        assert rec["c_dummy"] == 2 * rec["c_upper"]
+        assert_chain(rec, bound_chain())
+    with open(run_dir / "summary.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header[-9:-6] == ["c_dummy_mean", "c_dummy_min", "c_dummy_max"]
+
+    assert cli_main(["train", *small, "--out", str(tmp_path / "train")]) == 0
+    checkpoint = next((tmp_path / "train").glob("run-*/checkpoint.json"))
+    capsys.readouterr()
+    assert cli_main(["bounds", "--checkpoint", str(checkpoint), "--data", "synthetic",
+                     "--probe", "--pairs-per-lambda", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["c_lower", "c_avg_norm", "c_upper", "c_dummy", "c_probe",
+                            "softmax_composed", "snapshot", "probe_fidelity"]
+    assert report["c_dummy"] == 2 * report["c_upper"]
+    report_chain = bound_chain(["c_probe"])
+    assert report_chain == [["c_avg_norm"], ["c_lower"], ["c_probe"], ["c_upper", "c_dummy"]]
+    assert_chain(report, report_chain)
 
 
 # ---------------------------------------------------------------------------

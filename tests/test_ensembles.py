@@ -23,9 +23,10 @@ from liptrack.ensembles import (
 )
 from liptrack import ensembles, linalg
 from liptrack.harness import ExperimentConfig
-from liptrack.linalg import PowerIterSettings, make_rng, svd_oracle
+from liptrack.linalg import PowerIterSettings, make_rng
 from liptrack.models import init_ff
 from liptrack.training import one_hot
+from tests.oracles import svd_oracle
 
 TIGHT = PowerIterSettings(max_iters=5000, rel_tol=1e-13, seed=0)
 
@@ -195,7 +196,7 @@ def test_variance_at_origin_is_zero_for_zero_bias_nets():
 def test_variance_bound_formula_recompute():
     e = random_ensemble(base_seed=3)
     test = small_test_set(seed=3)
-    consts = BoundConstants(c_bar=1.5, c_bar_zeta=2.0, label="lower")
+    consts = BoundConstants(c_bar=1.5, c_bar_zeta=2.0)
     xp = test.inputs[4]
     v1, v2 = variance_bound(e, test, xp, consts)
     msd = mean_sq_dist(test.inputs, xp)
@@ -220,7 +221,6 @@ def test_estimate_labels_and_upper_symmetry():
     test = small_test_set(seed=6)
     lo = lower_estimates(e, test.inputs)
     up = upper_estimates(e, TIGHT)
-    assert lo.label == "lower" and up.label == "upper"
     # The layer-product value serves for both constants on the upper side.
     assert up.c_bar == up.c_bar_zeta
     assert lo.c_bar <= up.c_bar

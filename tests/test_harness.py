@@ -10,7 +10,6 @@ from liptrack.ensembles import build_biasvar_report
 from liptrack.harness import (
     PLOT_KINDS,
     PROFILES,
-    RECORD_KEYS,
     ExperimentConfig,
     apply_overrides,
     apply_profile,
@@ -187,7 +186,8 @@ def test_run_cell_record_structure():
     records = run_cell(cfg, "width", 4, seed=0)
     assert [r["epoch"] for r in records] == [0, 2, 4, 5]
     for rec in records:
-        assert list(rec) == list(RECORD_KEYS)
+        assert list(rec) == ["config_hash", "size", "seed", "epoch", "train_loss", "test_loss",
+                             "c_lower", "c_avg_norm", "c_upper", "param_dist", "grad_norm", "eta"]
         assert rec["config_hash"] == cfg.config_hash()
         assert rec["size"] == 4 and rec["seed"] == 0
         assert rec["c_avg_norm"] <= rec["c_lower"] <= rec["c_upper"]

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from liptrack import linalg, models
 from liptrack.bounds import _softmax_cotangents
-from liptrack.linalg import (PowerIterSettings, make_rng, materialize_operator,
-                             spectral_norm_operator, svd_oracle)
+from liptrack.linalg import PowerIterSettings, make_rng, spectral_norm_operator
 from liptrack.models import (
     CnnNet,
     FFReluNet,
@@ -31,6 +30,7 @@ from liptrack.models import (
     weight_shapes,
 )
 from tests.conftest import active_input
+from tests.oracles import materialize_operator, set_param_vector, svd_oracle
 
 TIGHT = PowerIterSettings(max_iters=5000, rel_tol=1e-13, seed=0)
 
@@ -383,11 +383,11 @@ def test_ff_param_vector_round_trip():
     theta = net.param_vector()
     assert theta.shape == (net.param_count,)
     clone = build_net(net.arch_spec())
-    clone.set_param_vector(theta)
+    set_param_vector(clone, theta)
     for wa, wb in zip(net.weights, clone.weights):
         assert np.array_equal(wa, wb)
     with pytest.raises(ValueError, match="length"):
-        clone.set_param_vector(theta[:-1])
+        set_param_vector(clone, theta[:-1])
 
 
 def test_ff_copy_is_independent():

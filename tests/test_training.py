@@ -24,12 +24,12 @@ from liptrack.training import (
     make_optimizer,
     one_hot,
     param_grad,
-    read_trace_jsonl,
     schedule_coeff,
     train,
     updates_per_epoch,
 )
 from tests.conftest import active_input, tiny_pair
+from tests.oracles import read_trace_jsonl
 
 
 def identity_net(k: int) -> FFReluNet:
