@@ -31,21 +31,14 @@ class SeedEnsemble:
     """Trained copies of one architecture, one per seed."""
 
     members: list
-    seeds: list
 
     def __post_init__(self):
         if len(self.members) < 2:
             raise ValueError(f"an ensemble needs at least 2 members, got {len(self.members)}")
-        if len(self.members) != len(self.seeds):
-            raise ValueError(f"{len(self.members)} members vs {len(self.seeds)} seeds")
         spec0 = self.members[0].arch_spec()
         for m in self.members[1:]:
             if m.arch_spec() != spec0:
                 raise ValueError(f"mixed architectures in ensemble: {spec0} vs {m.arch_spec()}")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def decompose(e: SeedEnsemble, test_set):
@@ -73,25 +66,26 @@ def decompose(e: SeedEnsemble, test_set):
     return bias_total / n, var_total / n, loss_total / n
 
 
-def ensemble_lipschitz_lower(e: SeedEnsemble, samples: np.ndarray):
-    """Lower Lipschitz estimates for the mean function and the mean of members.
+def lower_estimates(e: SeedEnsemble, samples: np.ndarray):
+    """Lower Lipschitz estimates ``(c_bar, c_bar_zeta)`` over ``samples``.
 
-    ``c_bar_hat`` takes the Jacobian of the averaged function (mean of
-    member Jacobians) before the sup; ``c_bar_zeta_hat`` averages each
-    member's own sup, the member's ``lower_bound`` over the same chunks.
-    Jensen puts the first below the second.  As in :mod:`~liptrack.bounds`,
-    a NaN norm makes a sup NaN wherever it falls.  Each member's Jacobians
-    are built once per chunk and feed both estimates.  Each member keeps one
-    Jacobian stream (:func:`~liptrack.models.jacobian_stream`) over all the
-    chunks; since a stream's result is overwritten by its next call, the
-    mean is summed in its own array (sized by the first, largest chunk),
-    members in order.
+    ``c_bar`` takes the Jacobian of the averaged function (mean of member
+    Jacobians) before the sup; ``c_bar_zeta`` averages each member's own
+    sup, the member's ``lower_bound`` over the same chunks.  Jensen puts
+    the first below the second.  As in :mod:`~liptrack.bounds`, a NaN norm
+    makes a sup NaN wherever it falls.  Each member's Jacobians are built
+    once per chunk and feed both estimates.  Each member keeps one Jacobian
+    stream (:func:`~liptrack.models.jacobian_stream`) over all the chunks;
+    since a stream's result is overwritten by its next call, the mean is
+    summed in its own array (sized by the first, largest chunk), members
+    in order.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
-        raise ValueError("ensemble_lipschitz_lower needs at least one sample")
+        raise ValueError("lower_estimates needs at least one sample")
+    size = len(e.members)
     best = 0.0
-    per_seed = [0.0] * e.size
+    per_seed = [0.0] * size
     streams = [jacobian_stream(m) for m in e.members]
     total = None
     for xb in row_chunks(samples):
@@ -105,9 +99,19 @@ def ensemble_lipschitz_lower(e: SeedEnsemble, samples: np.ndarray):
                 mean_jac[...] = jac
             else:
                 mean_jac += jac
-        mean_jac /= e.size
+        mean_jac /= size
         best = float(np.maximum(best, batch_spectral_norms(mean_jac).max()))
     return best, float(np.mean(per_seed))
+
+
+def upper_estimates(e: SeedEnsemble, settings: PowerIterSettings = PowerIterSettings()):
+    """Upper estimates ``(c_bar, c_bar_zeta)`` from the layer products.
+
+    The layer-product bound dominates both constants, so the mean over
+    seeds serves for the ensembled function and the per-seed average alike.
+    """
+    mean_upper = float(np.mean([upper_bound(m, settings) for m in e.members]))
+    return mean_upper, mean_upper
 
 
 def variance_at(e: SeedEnsemble, xprime: np.ndarray) -> float:
@@ -123,48 +127,18 @@ def mean_sq_dist(x: np.ndarray, xprime: np.ndarray) -> float:
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """Values plugged in for the two Lipschitz constants."""
+def variance_bounds(msd: float, var_xp: float, c_bar: float, c_bar_zeta: float):
+    """The two closed-form variance bounds ``(bound_v1, bound_v2)``.
 
-    c_bar: float
-    c_bar_zeta: float
-
-
-def lower_estimates(e: SeedEnsemble, samples: np.ndarray) -> BoundConstants:
-    c_bar_hat, c_bar_zeta_hat = ensemble_lipschitz_lower(e, samples)
-    return BoundConstants(c_bar_hat, c_bar_zeta_hat)
-
-
-def upper_estimates(e: SeedEnsemble, settings: PowerIterSettings = PowerIterSettings()) -> BoundConstants:
-    # The layer-product bound dominates both constants, so the mean over
-    # seeds serves for the ensembled function and the per-seed average alike.
-    uppers = [upper_bound(m, settings) for m in e.members]
-    mean_upper = float(np.mean(uppers))
-    return BoundConstants(mean_upper, mean_upper)
-
-
-def variance_bound(e: SeedEnsemble, test_set, xprime: np.ndarray | None,
-                   constants: BoundConstants):
-    """The two closed-form variance bounds at a reference point x′.
-
-    x′ = None means the origin, where the E||x − x′||² factor reduces to
-    the mean squared radius of the test set and (for zero-bias nets) the
-    Var term vanishes.  Returns ``(bound_v1, bound_v2)``.
+    ``msd`` is E||x − x′||² over the test set and ``var_xp`` the variance
+    over seeds at x′.  At the origin ``msd`` is the mean squared radius of
+    the test set and (for zero-bias nets) ``var_xp`` vanishes.
     """
-    dim = test_set.inputs.shape[1]
-    if xprime is None:
-        xprime = np.zeros(dim)
-    xprime = np.asarray(xprime, dtype=np.float64)
-    if xprime.shape != (dim,):
-        raise ValueError(f"x′ shape {xprime.shape}, expected ({dim},)")
-    msd = mean_sq_dist(test_set.inputs, xprime)
-    var_xp = variance_at(e, xprime)
     # Shared evaluation order keeps v1 <= v2 at the bit level whenever
     # c_bar <= c_bar_zeta (rounding is monotone), so the dominance chain
     # never breaks by one ulp.
-    a2 = constants.c_bar ** 2
-    b2 = constants.c_bar_zeta ** 2
+    a2 = c_bar ** 2
+    b2 = c_bar_zeta ** 2
     bound_v1 = 3.0 * msd * (a2 + b2) + 3.0 * var_xp
     bound_v2 = 3.0 * msd * (b2 + b2) + 3.0 * var_xp
     return bound_v1, bound_v2
@@ -186,6 +160,7 @@ def build_biasvar_report(e: SeedEnsemble, test_set, xprime_kind: str = "zero",
                          settings: PowerIterSettings = PowerIterSettings()) -> dict:
     """One row of the study: decomposition, constants, and all four bounds.
 
+    The keys are ``BIASVAR_CSV_COLUMNS`` after ``width``, in order.
     ``xprime_kind`` names x′ for :func:`resolve_xprime`.  The row carries
     the bounds instantiated with both the measured lower estimates and the
     layer-product upper estimates.  The upper ones are certified only when
@@ -197,15 +172,15 @@ def build_biasvar_report(e: SeedEnsemble, test_set, xprime_kind: str = "zero",
     bias_sq, variance, expected = decompose(e, test_set)
     lo = lower_estimates(e, test_set.inputs)
     up = upper_estimates(e, settings)
-    v1_lo, v2_lo = variance_bound(e, test_set, xprime, lo)
-    v1_up, v2_up = variance_bound(e, test_set, xprime, up)
-    return {"bias_sq": bias_sq, "variance": variance, "test_loss": expected,
-            "r_sq": mean_sq_dist(test_set.inputs, np.zeros(test_set.inputs.shape[1])),
-            "c_bar": lo.c_bar, "c_bar_zeta": lo.c_bar_zeta,
-            "var_at_xprime": variance_at(e, xprime),
-            "bound_v1_lower": v1_lo, "bound_v2_lower": v2_lo,
-            "bound_v1_upper": v1_up, "bound_v2_upper": v2_up,
-            "xprime_kind": xprime_kind}
+    msd = mean_sq_dist(test_set.inputs, xprime)
+    var_xp = variance_at(e, xprime)
+    row = {"bias_sq": bias_sq, "variance": variance, "test_loss": expected,
+           "r_sq": mean_sq_dist(test_set.inputs, np.zeros(test_set.inputs.shape[1])),
+           "c_bar": lo[0], "c_bar_zeta": lo[1]}
+    for side, constants in (("lower", lo), ("upper", up)):
+        row[f"bound_v1_{side}"], row[f"bound_v2_{side}"] = variance_bounds(msd, var_xp, *constants)
+    row["xprime_kind"] = xprime_kind
+    return row
 
 
 def train_ensemble(cfg: ExperimentConfig, data, width: int) -> SeedEnsemble:
@@ -216,7 +191,7 @@ def train_ensemble(cfg: ExperimentConfig, data, width: int) -> SeedEnsemble:
         # A cadence of max_epochs records only the final epoch.
         train_cell(cfg, net, data, seed, eval_every=max(cfg.max_epochs, 1))
         members.append(net)
-    return SeedEnsemble(members, list(cfg.seeds))
+    return SeedEnsemble(members)
 
 
 def sweep_biasvar(cfg: ExperimentConfig, data, xprime_kind: str = "zero"):
@@ -233,10 +208,8 @@ def sweep_biasvar(cfg: ExperimentConfig, data, xprime_kind: str = "zero"):
         except DivergenceError as err:
             failures.append({"width": int(width), "error": str(err), "epoch": err.epoch})
             continue
-        row = {"width": int(width)}
-        row.update(build_biasvar_report(e, data.test, xprime_kind, cfg.settings()))
-        del row["var_at_xprime"]
-        rows.append(row)
+        rows.append({"width": int(width),
+                     **build_biasvar_report(e, data.test, xprime_kind, cfg.settings())})
     return rows, failures
 
 

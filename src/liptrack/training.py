@@ -108,8 +108,6 @@ def dataset_loss(net, x: np.ndarray, labels: np.ndarray, kind: str) -> float:
 class Sgd:
     """Plain SGD, no momentum: θ ← θ − ηλ·g."""
 
-    kind = "sgd"
-
     def __init__(self, base_lr: float):
         if base_lr < 0:
             raise ValueError(f"base_lr must be nonnegative, got {base_lr}")
@@ -123,8 +121,6 @@ class Sgd:
 
 class Adam:
     """Adam with the usual defaults: β1 0.9, β2 0.999, ε 1e-8, bias correction."""
-
-    kind = "adam"
 
     def __init__(self, base_lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -194,26 +190,22 @@ class LrSchedule:
             raise ValueError(f"updates per epoch must be >= 1, got {self.upe}")
 
     def coeff(self, update_index: int) -> float:
-        return schedule_coeff(self, update_index)
-
-
-def schedule_coeff(s: LrSchedule, update_index: int) -> float:
-    """LR coefficient in (0, 1] at a 0-based update index."""
-    u = int(update_index)
-    if u < 0:
-        raise ValueError(f"update index must be >= 0, got {u}")
-    if s.variant == "constant":
-        return 1.0
-    if s.variant == "cont100":
-        # Drops by 0.95 every 100 epochs; constant within an epoch.
-        epoch = u // s.upe
-        return 0.95 ** (epoch // 100)
-    # warmup20000step25: linear ramp 1/20000 -> 1 over 20000 updates, then
-    # three 0.75 drops at 2500-epoch marks and a plateau at 0.75^3.
-    if u <= 20000:
-        return max(1, u) / 20000.0
-    k = (u - 20000) // (2500 * s.upe)
-    return 0.75 ** min(k, 3)
+        """LR coefficient in (0, 1] at a 0-based update index."""
+        u = int(update_index)
+        if u < 0:
+            raise ValueError(f"update index must be >= 0, got {u}")
+        if self.variant == "constant":
+            return 1.0
+        if self.variant == "cont100":
+            # Drops by 0.95 every 100 epochs; constant within an epoch.
+            epoch = u // self.upe
+            return 0.95 ** (epoch // 100)
+        # warmup20000step25: linear ramp 1/20000 -> 1 over 20000 updates, then
+        # three 0.75 drops at 2500-epoch marks and a plateau at 0.75^3.
+        if u <= 20000:
+            return max(1, u) / 20000.0
+        k = (u - 20000) // (2500 * self.upe)
+        return 0.75 ** min(k, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from liptrack.datasets import DataPair, synthetic_fallback
-from liptrack.linalg import make_rng
 
 
 def tiny_pair(n_train=96, n_test=32, d=12, k=4, seed=5) -> DataPair:

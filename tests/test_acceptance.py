@@ -21,12 +21,11 @@ from liptrack.cli import main as cli_main
 from liptrack.datasets import DataPair, synthetic_fallback
 from liptrack.ensembles import (
     SeedEnsemble,
+    build_biasvar_report,
     decompose,
     lower_estimates,
     sweep_biasvar,
     train_ensemble,
-    upper_estimates,
-    variance_bound,
     write_biasvar_csv,
 )
 from liptrack.harness import (
@@ -48,7 +47,6 @@ from liptrack.training import (
     make_optimizer,
     one_hot,
     param_grad,
-    schedule_coeff,
     train,
 )
 from tests.conftest import active_input
@@ -156,7 +154,7 @@ def ensemble_suite():
         n_members = 2 + (i % 4)
         members = [init_ff(d, [width], k, seed=1000 * i + j) for j in range(n_members)]
         test_set = synthetic_fallback(10, 30, d, k, seed=500 + i)[1]
-        suite.append((SeedEnsemble(members, list(range(n_members))), test_set))
+        suite.append((SeedEnsemble(members), test_set))
 
     train_d, test_d = synthetic_fallback(400, 100, 12, 4, seed=7)
     cfg = ExperimentConfig(loss="mse", optimizer="sgd", base_lr=0.05, schedule="constant",
@@ -406,17 +404,15 @@ def test_07_bias_variance_identity_and_oracle(capsys, ensemble_suite):
 def test_08_variance_bounds_dominate(capsys, ensemble_suite):
     with verdict(capsys, " 8 variance <= bound_v1 <= bound_v2 at upper constants, zero violations"):
         for e, test_set in ensemble_suite:
-            _, variance, _ = decompose(e, test_set)
-            up = upper_estimates(e)
-            v1, v2 = variance_bound(e, test_set, None, up)
-            assert variance <= v1 <= v2
+            row = build_biasvar_report(e, test_set)
+            assert row["variance"] <= row["bound_v1_upper"] <= row["bound_v2_upper"]
 
 
 def test_09_mean_net_constant_never_exceeds_mean_constant(capsys, ensemble_suite):
     with verdict(capsys, " 9 ensemble-mean estimate <= per-member mean estimate, every ensemble"):
         for e, test_set in ensemble_suite:
-            lo = lower_estimates(e, test_set.inputs)
-            assert lo.c_bar <= lo.c_bar_zeta
+            c_bar, c_bar_zeta = lower_estimates(e, test_set.inputs)
+            assert c_bar <= c_bar_zeta
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +423,15 @@ def test_10_schedule_exactness(capsys):
     with verdict(capsys, "10 schedules: warmup hits 1.0 and 0.421875 exactly, cont100 is 0.95^(e//100)"):
         for upe in (1, 32, 313):
             s = LrSchedule("warmup20000step25", upe)
-            assert schedule_coeff(s, 20_000) == 1.0
+            assert s.coeff(20_000) == 1.0
             last_drop = 20_000 + 3 * 2_500 * upe
             for u in (last_drop, last_drop + 1, last_drop + 123_456):
-                assert schedule_coeff(s, u) == 0.421875
+                assert s.coeff(u) == 0.421875
 
             c = LrSchedule("cont100", upe)
             for epoch in (0, 1, 99, 100, 199, 200, 250, 999):
                 for u in (epoch * upe, epoch * upe + upe - 1):
-                    assert schedule_coeff(c, u) == 0.95 ** (epoch // 100)
+                    assert c.coeff(u) == 0.95 ** (epoch // 100)
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,16 @@ from liptrack.bounds import batch_spectral_norms, lower_bound
 from liptrack.datasets import DataPair, Dataset, synthetic_fallback
 from liptrack.ensembles import (
     BIASVAR_CSV_COLUMNS,
-    BoundConstants,
     SeedEnsemble,
     build_biasvar_report,
     decompose,
-    ensemble_lipschitz_lower,
     lower_estimates,
     mean_sq_dist,
     sweep_biasvar,
     train_ensemble,
     upper_estimates,
     variance_at,
-    variance_bound,
+    variance_bounds,
     write_biasvar_csv,
 )
 from liptrack import ensembles, linalg
@@ -33,12 +31,17 @@ TIGHT = PowerIterSettings(max_iters=5000, rel_tol=1e-13, seed=0)
 
 def random_ensemble(n_members=3, d=8, width=10, k=3, base_seed=0) -> SeedEnsemble:
     members = [init_ff(d, [width], k, seed=base_seed + s) for s in range(n_members)]
-    return SeedEnsemble(members, list(range(n_members)))
+    return SeedEnsemble(members)
 
 
 def small_test_set(n=25, d=8, k=3, seed=1) -> Dataset:
     _, test = synthetic_fallback(10, n, d=d, num_classes=k, seed=seed)
     return test
+
+
+def bounds_at_origin(e: SeedEnsemble, test: Dataset, constants):
+    origin = np.zeros(test.dim)
+    return variance_bounds(mean_sq_dist(test.inputs, origin), variance_at(e, origin), *constants)
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +51,10 @@ def small_test_set(n=25, d=8, k=3, seed=1) -> Dataset:
 def test_seed_ensemble_validation():
     net = init_ff(4, [5], 2, seed=0)
     with pytest.raises(ValueError, match="at least 2"):
-        SeedEnsemble([net], [0])
-    with pytest.raises(ValueError, match="members vs"):
-        SeedEnsemble([net, net.copy()], [0])
+        SeedEnsemble([net])
     other = init_ff(4, [6], 2, seed=1)
     with pytest.raises(ValueError, match="mixed architectures"):
-        SeedEnsemble([net, other], [0, 1])
+        SeedEnsemble([net, other])
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +71,9 @@ def test_decompose_matches_double_loop_oracle():
     fbar = preds.mean(axis=0)
     want_bias = np.mean(np.sum((y - fbar) ** 2, axis=1))
     want_var = np.mean([np.mean(np.sum((preds[s] - fbar) ** 2, axis=1))
-                        for s in range(e.size)])
+                        for s in range(len(e.members))])
     want_loss = np.mean([np.mean(np.sum((y - preds[s]) ** 2, axis=1))
-                         for s in range(e.size)])
+                         for s in range(len(e.members))])
     assert bias_sq == pytest.approx(want_bias, rel=1e-12)
     assert variance == pytest.approx(want_var, rel=1e-12)
     assert expected == pytest.approx(want_loss, rel=1e-12)
@@ -97,7 +98,7 @@ def test_decompose_additive_identity_and_chunking(monkeypatch):
 # Ensemble Lipschitz estimates
 
 
-def test_ensemble_lipschitz_lower_linear_regime_analytic():
+def test_lower_estimates_linear_regime_analytic():
     # Two all-positive single-layer stacks on positive inputs are exactly
     # linear, so both estimates reduce to matrix norms computed by the
     # dense oracle: the mean-function constant is ||(P1 + P2) / 2|| and
@@ -113,26 +114,26 @@ def test_ensemble_lipschitz_lower_linear_regime_analytic():
         net.weights[1][...] = w2
         nets.append(net)
         prods.append(w2 @ w1)
-    e = SeedEnsemble(nets, [0, 1])
+    e = SeedEnsemble(nets)
     x = rng.uniform(0.1, 2.0, size=(15, 5))
-    c_bar, c_bar_zeta = ensemble_lipschitz_lower(e, x)
+    c_bar, c_bar_zeta = lower_estimates(e, x)
     assert c_bar == pytest.approx(svd_oracle((prods[0] + prods[1]) / 2), rel=1e-11)
     assert c_bar_zeta == pytest.approx((svd_oracle(prods[0]) + svd_oracle(prods[1])) / 2,
                                        rel=1e-11)
     assert c_bar <= c_bar_zeta + 1e-12
 
 
-def test_ensemble_lipschitz_lower_jensen_inequality():
+def test_lower_estimates_jensen_inequality():
     e = random_ensemble(n_members=4, base_seed=9)
     x = make_rng(2, 40).standard_normal((30, 8))
-    c_bar, c_bar_zeta = ensemble_lipschitz_lower(e, x)
+    c_bar, c_bar_zeta = lower_estimates(e, x)
     # The norm of a mean of Jacobians never exceeds the mean of the sups.
     assert c_bar <= c_bar_zeta + 1e-12
     with pytest.raises(ValueError, match="at least one sample"):
-        ensemble_lipschitz_lower(e, np.zeros((0, 8)))
+        lower_estimates(e, np.zeros((0, 8)))
 
 
-def test_ensemble_lipschitz_lower_matches_separate_passes(monkeypatch):
+def test_lower_estimates_matches_separate_passes(monkeypatch):
     # One Jacobian pass per member and chunk feeds both estimates; the
     # values equal the mean-Jacobian sup and the mean of each member's own
     # lower_bound over the same chunks, bit for bit.  The members are
@@ -148,10 +149,10 @@ def test_ensemble_lipschitz_lower_matches_separate_passes(monkeypatch):
             best = 0.0
             for lo in range(0, len(x), chunk):
                 xb = x[lo:lo + chunk]
-                mean_jac = sum(m.input_jacobians(xb) for m in e.members) / e.size
+                mean_jac = sum(m.input_jacobians(xb) for m in e.members) / len(e.members)
                 best = max(best, float(batch_spectral_norms(mean_jac).max()))
             per_seed = [lower_bound(m, x)[0] for m in e.members]
-            assert ensemble_lipschitz_lower(e, x) == (best, float(np.mean(per_seed)))
+            assert lower_estimates(e, x) == (best, float(np.mean(per_seed)))
 
 
 @pytest.mark.parametrize("norms", [(1.0, float("nan")), (float("nan"), 1.0)])
@@ -166,7 +167,7 @@ def test_ensemble_lower_constants_keep_a_nan_norm(monkeypatch, norms):
 
     monkeypatch.setattr(linalg, "ROW_CHUNK", 1)
     monkeypatch.setattr(ensembles, "batch_spectral_norms", stub)
-    c_bar, c_bar_zeta = ensemble_lipschitz_lower(random_ensemble(n_members=2), np.ones((2, 8)))
+    c_bar, c_bar_zeta = lower_estimates(random_ensemble(n_members=2), np.ones((2, 8)))
     assert len(calls) == 6
     assert np.isnan(c_bar) and np.isnan(c_bar_zeta)
 
@@ -196,24 +197,12 @@ def test_variance_at_origin_is_zero_for_zero_bias_nets():
 def test_variance_bound_formula_recompute():
     e = random_ensemble(base_seed=3)
     test = small_test_set(seed=3)
-    consts = BoundConstants(c_bar=1.5, c_bar_zeta=2.0)
     xp = test.inputs[4]
-    v1, v2 = variance_bound(e, test, xp, consts)
     msd = mean_sq_dist(test.inputs, xp)
     vxp = variance_at(e, xp)
+    v1, v2 = variance_bounds(msd, vxp, 1.5, 2.0)
     assert v1 == pytest.approx(3 * (1.5 ** 2 + 2.0 ** 2) * msd + 3 * vxp, rel=1e-13)
     assert v2 == pytest.approx(6 * msd * 2.0 ** 2 + 3 * vxp, rel=1e-13)
-
-
-def test_variance_bound_origin_default_and_shape_check():
-    e = random_ensemble(base_seed=4)
-    test = small_test_set(seed=4)
-    consts = lower_estimates(e, test.inputs)
-    v_none = variance_bound(e, test, None, consts)
-    v_zero = variance_bound(e, test, np.zeros(8), consts)
-    assert v_none == v_zero
-    with pytest.raises(ValueError, match="shape"):
-        variance_bound(e, test, np.zeros(7), consts)
 
 
 def test_estimate_labels_and_upper_symmetry():
@@ -222,19 +211,19 @@ def test_estimate_labels_and_upper_symmetry():
     lo = lower_estimates(e, test.inputs)
     up = upper_estimates(e, TIGHT)
     # The layer-product value serves for both constants on the upper side.
-    assert up.c_bar == up.c_bar_zeta
-    assert lo.c_bar <= up.c_bar
-    assert lo.c_bar_zeta <= up.c_bar_zeta
+    assert up[0] == up[1]
+    assert lo[0] <= up[0]
+    assert lo[1] <= up[1]
     # Equal constants collapse the two bound forms into one (up to the
     # one-ulp difference in evaluation order).
-    v1, v2 = variance_bound(e, test, None, up)
+    v1, v2 = bounds_at_origin(e, test, up)
     assert v1 == pytest.approx(v2, rel=1e-15)
 
 
 def test_second_bound_dominates_first_at_lower_constants():
     e = random_ensemble(n_members=4, base_seed=7)
     test = small_test_set(n=30, seed=7)
-    v1, v2 = variance_bound(e, test, None, lower_estimates(e, test.inputs))
+    v1, v2 = bounds_at_origin(e, test, lower_estimates(e, test.inputs))
     # v2 - v1 = 3 msd (c_bar_zeta^2 - c_bar^2) >= 0 by Jensen.
     assert v2 >= v1
 
@@ -243,7 +232,7 @@ def test_measured_variance_below_upper_constant_bounds():
     e = random_ensemble(n_members=4, base_seed=8)
     test = small_test_set(n=30, seed=8)
     _, variance, _ = decompose(e, test)
-    v1, v2 = variance_bound(e, test, None, upper_estimates(e, TIGHT))
+    v1, v2 = bounds_at_origin(e, test, upper_estimates(e, TIGHT))
     assert variance <= v1
     assert variance <= v2
 
@@ -256,15 +245,14 @@ def test_build_biasvar_report_contents():
     e = random_ensemble(base_seed=10)
     test = small_test_set(seed=10)
     row = build_biasvar_report(e, test, xprime_kind="zero", settings=TIGHT)
-    assert set(row) == {"bias_sq", "variance", "test_loss", "r_sq", "c_bar",
-                        "c_bar_zeta", "var_at_xprime", "bound_v1_lower",
-                        "bound_v2_lower", "bound_v1_upper", "bound_v2_upper",
-                        "xprime_kind"}
+    assert list(row) == BIASVAR_CSV_COLUMNS[1:]
     assert row["xprime_kind"] == "zero"
     assert row["bias_sq"] + row["variance"] == pytest.approx(row["test_loss"], rel=1e-12)
     assert row["r_sq"] == pytest.approx(
         mean_sq_dist(test.inputs, np.zeros(test.dim)), rel=1e-13)
-    assert row["var_at_xprime"] == 0.0
+    # At the origin E||x − x′||² is r_sq and the zero-bias variance term is 0.
+    assert (row["bound_v1_lower"], row["bound_v2_lower"]) == variance_bounds(
+        row["r_sq"], 0.0, row["c_bar"], row["c_bar_zeta"])
     assert row["bound_v1_upper"] == pytest.approx(row["bound_v2_upper"], rel=1e-15)
 
 
@@ -273,7 +261,14 @@ def test_build_biasvar_report_test_point_xprime():
     test = small_test_set(seed=11)
     row = build_biasvar_report(e, test, xprime_kind="test_point:4", settings=TIGHT)
     assert row["xprime_kind"] == "test_point:4"
-    assert row["var_at_xprime"] == pytest.approx(variance_at(e, test.inputs[4]), rel=1e-13)
+    xp = test.inputs[4]
+    msd, vxp = mean_sq_dist(test.inputs, xp), variance_at(e, xp)
+    assert vxp > 0.0
+    # Both sides are built from the variance at this x′, not the origin.
+    assert (row["bound_v1_lower"], row["bound_v2_lower"]) == variance_bounds(
+        msd, vxp, row["c_bar"], row["c_bar_zeta"])
+    assert (row["bound_v1_upper"], row["bound_v2_upper"]) == variance_bounds(
+        msd, vxp, *upper_estimates(e, TIGHT))
     with pytest.raises(ValueError, match="xprime_kind"):
         build_biasvar_report(e, test, xprime_kind="centroid")
 
@@ -285,7 +280,7 @@ def test_train_ensemble_deterministic_and_distinct_members():
                            min_epochs=0, max_epochs=2, batch_size=32, seeds=[0, 1])
     a = train_ensemble(cfg, data, 6)
     b = train_ensemble(cfg, data, 6)
-    assert a.size == 2
+    assert len(a.members) == 2
     for ma, mb in zip(a.members, b.members):
         assert np.array_equal(ma.param_vector(), mb.param_vector())
     assert not np.array_equal(a.members[0].param_vector(), a.members[1].param_vector())
@@ -302,8 +297,7 @@ def test_sweep_biasvar_rows_and_failures():
     assert failures == []
     assert [r["width"] for r in rows] == [4, 6]
     for row in rows:
-        assert "var_at_xprime" not in row
-        assert set(row) == set(BIASVAR_CSV_COLUMNS)
+        assert list(row) == BIASVAR_CSV_COLUMNS
 
     # Astronomical inputs overflow the first MSE forward pass, so every
     # width lands in the failure list instead of the row list.
@@ -321,9 +315,7 @@ def test_sweep_biasvar_rows_and_failures():
 def test_write_biasvar_csv_column_order(tmp_path):
     e = random_ensemble(base_seed=14)
     test = small_test_set(seed=14)
-    row = {"width": 10}
-    row.update(build_biasvar_report(e, test, settings=TIGHT))
-    del row["var_at_xprime"]
+    row = {"width": 10, **build_biasvar_report(e, test, settings=TIGHT)}
     path = tmp_path / "biasvar.csv"
     write_biasvar_csv([row], path)
     with open(path, newline="") as fh:

@@ -11,8 +11,10 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import liptrack.ensembles as ensembles
 from liptrack.bounds import ProbeSet, build_report
-from liptrack.harness import ExperimentConfig, run_sweep
+from liptrack.ensembles import sweep_biasvar
+from liptrack.harness import ExperimentConfig, build_data, run_sweep
 from liptrack.linalg import make_rng
 from liptrack.models import init_ff
 
@@ -71,3 +73,37 @@ def test_every_bound_call_is_traced(monkeypatch):
         phase = f"report softmax={softmax_composed}"
         assert calls[phase, "bounds.lower_bound"] == 1
         assert calls[phase, "bounds.upper_bound"] == 1
+
+
+def test_every_biasvar_pass_is_traced_once_per_row(monkeypatch):
+    # One span per row for each ensemble phase perfbench times, one
+    # upper_bound per member, and one evaluation of each x′ term: a
+    # producer that captures these functions, or repeats a pass, fails.
+    monkeypatch.delenv("LIPTRACK_WORKERS", raising=False)
+    d = ExperimentConfig().to_dict()
+    d["dataset"].update({"n_train": 40, "n_test": 10, "d": 6, "num_classes": 3})
+    d.update(widths=[4, 8], seeds=[0, 1], loss="mse", max_epochs=2, batch_size=20)
+    cfg = ExperimentConfig.from_dict(d)
+    data = build_data(cfg)
+    calls = Counter()
+    for name in ("variance_at", "mean_sq_dist"):
+        def counted(*args, _fn=getattr(ensembles, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ensembles, name, counted)
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.phase = "biasvar"
+        rows, failures = sweep_biasvar(cfg, data, "test_point:3")
+    finally:
+        tracer.uninstall()
+    calls.update(s["name"] for s in tracer.spans)
+    assert failures == [] and len(rows) == 2
+    for name in ("train_ensemble", "lower_estimates", "upper_estimates", "decompose"):
+        assert calls[f"ensembles.{name}"] == len(rows), name
+    assert calls["bounds.upper_bound"] == len(rows) * len(cfg.seeds)
+    assert calls["variance_at"] == len(rows)
+    # One for E||x − x′||² and one for r_sq.
+    assert calls["mean_sq_dist"] == 2 * len(rows)

@@ -24,7 +24,6 @@ from liptrack.training import (
     make_optimizer,
     one_hot,
     param_grad,
-    schedule_coeff,
     train,
     updates_per_epoch,
 )
@@ -228,7 +227,7 @@ def test_schedule_validation():
 def test_schedule_coefficients_stay_in_unit_interval(variant, upe, u):
     # u capped at 1e6: past ~1.4M epochs the cont100 curve underflows to
     # exactly 0.0 in float64, far beyond any configured run length.
-    c = schedule_coeff(LrSchedule(variant, upe), u)
+    c = LrSchedule(variant, upe).coeff(u)
     assert 0 < c <= 1.0
 
 
