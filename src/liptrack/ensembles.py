@@ -188,8 +188,7 @@ def train_ensemble(cfg: ExperimentConfig, data, width: int) -> SeedEnsemble:
     members = []
     for seed in cfg.seeds:
         net = cell_net(cfg, data, seed, "width", width)
-        # A cadence of max_epochs records only the final epoch.
-        train_cell(cfg, net, data, seed, eval_every=max(cfg.max_epochs, 1))
+        train_cell(cfg, net, data, seed, eval_every=None)
         members.append(net)
     return SeedEnsemble(members)
 

@@ -238,9 +238,9 @@ def cell_net(cfg: ExperimentConfig, data: DataPair, seed: int, axis: str = "widt
 
 
 def train_cell(cfg: ExperimentConfig, net, data: DataPair, seed: int, on_epoch=None,
-               eval_every: int = 1):
+               eval_every: int | None = 1):
     """Train ``net`` in place with the config's loss, optimizer, schedule and
-    stop rule, recording every ``eval_every``-th epoch and the final one."""
+    stop rule, recording every ``eval_every``-th epoch and the final one (None: none)."""
     opt = make_optimizer(cfg.optimizer, cfg.base_lr)
     return train(net, data, cfg.loss, opt, cfg.schedule, cfg.stop_rule(),
                  cfg.batch_size, seed, on_epoch=on_epoch, eval_every=eval_every)

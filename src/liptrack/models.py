@@ -130,25 +130,27 @@ class FFReluNet(_ZeroBiasNet):
         return a[0] if single else a
 
     def forward_cached(self, x: np.ndarray):
-        """Batch forward that keeps pre-activations for backprop."""
+        """Batch forward that keeps every layer's activations, the input
+        first, for backprop; each ReLU acts in place on its GEMM's output."""
         a = self._check_input(np.atleast_2d(x))
         acts = [a]
-        pres = []
         for w in self.weights:
-            z = a @ w.T
-            pres.append(z)
-            a = _relu(z)
+            a = a @ w.T
+            np.maximum(a, 0.0, out=a)
             acts.append(a)
-        return a, (acts, pres)
+        return a, acts
 
-    def _backward(self, cache, g: np.ndarray, grads: list | None = None) -> np.ndarray:
+    def _backward(self, acts, g: np.ndarray, grads: list | None = None) -> np.ndarray:
         """Sweep cotangent rows, (n, out) or seed rows (n, m, out), back to the
         input; or, into ``grads``, the weight gradients of (n, out) rows."""
-        acts, pres = cache
-        for i in range(len(self.weights) - 1, -1, -1):
-            # Each sample's mask, broadcast over its seed rows, is freed before the GEMMs
-            # (held across them, it multiplied SGD steps' page faults: glibc trimming).
-            g = g * (pres[i] > 0 if g.ndim == 2 else (pres[i] > 0)[:, None, :])
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            # A unit is active where its activation, like its pre-activation, is > 0 (a NaN
+            # stays NaN).  The caller's rows are masked out of place, this loop's own products
+            # in place.  Each sample's mask, broadcast over its seed rows, is freed before the
+            # GEMMs (held across them, it multiplied SGD steps' page faults: glibc trimming).
+            g = np.multiply(g, acts[i + 1] > 0 if g.ndim == 2 else (acts[i + 1] > 0)[:, None, :],
+                            out=None if i == last else g)
             if grads is not None:
                 grads[i] = g.T @ acts[i]
                 if i == 0:

@@ -266,6 +266,8 @@ class TrainTrace:
 
     @property
     def final(self) -> EpochRecord:
+        if not self.records:
+            raise ValueError("no epoch was recorded")
         return self.records[-1]
 
     def write_jsonl(self, path) -> None:
@@ -313,7 +315,7 @@ def _loss_cannot_overflow(net, x_norm: float) -> bool:
 def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopRule,
           batch_size: int, seed: int,
           on_epoch: Callable[[int, object, EpochRecord], None] | None = None,
-          eval_every: int = 1) -> TrainTrace:
+          eval_every: int | None = 1) -> TrainTrace:
     """Run the epoch loop on ``net`` in place and return the trace of its
     recorded epochs.
 
@@ -327,14 +329,20 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
     same at every cadence.  Every epoch checks the full-train loss for
     divergence, or proves it finite (``_FINITE_LOSS_BOUND``), so
     ``DivergenceError`` names the same epoch at every cadence.
+    ``eval_every=None`` records no epoch and takes no ``on_epoch``: the
+    full-train gradient then runs only where the stop rule reads it before
+    ``max_epochs``, and a run that reaches ``max_epochs`` reports that reason.
     ``on_epoch`` (if given) fires with epoch 0's record of the initial net
     (which is not added to the trace), then after each recorded epoch's
     record is appended; the harness uses it to evaluate bounds mid-run.
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    if eval_every < 1:
+    recording = eval_every is not None
+    if recording and eval_every < 1:
         raise ValueError(f"eval_every must be >= 1, got {eval_every}")
+    if not recording and on_epoch is not None:
+        raise ValueError("on_epoch needs recorded epochs; got eval_every=None")
     x, y = dataset.train_x, dataset.train_y
     n = x.shape[0]
     check_batch_size(batch_size, n)
@@ -375,11 +383,11 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
                 raise DivergenceError(epoch)
             optimizer.step(net.weight_arrays(), grads, coeff)
             update += 1
-        on_cadence = epoch % eval_every == 0 or epoch == stop.max_epochs
-        if on_cadence or stop.reads_gradient(epoch):
+        on_cadence = recording and (epoch % eval_every == 0 or epoch == stop.max_epochs)
+        if on_cadence or (stop.reads_gradient(epoch) and (recording or epoch < stop.max_epochs)):
             train_loss, grad_norm = train_loss_and_grad_norm(epoch)
             stopping = stop.should_stop(epoch, grad_norm)
-            if on_cadence or stopping:
+            if recording and (on_cadence or stopping):
                 rec = record(epoch, coeff, train_loss, grad_norm,
                              param_distance(net, theta0), started)
                 trace.records.append(rec)

@@ -1,5 +1,6 @@
 """Test-only references: an exact spectral-norm oracle, dense matrices of
-linear maps, a parameter-vector setter and a trace reader.
+linear maps, a plain FF forward/backward, a parameter-vector setter and a
+trace reader.
 
 None of these is on a library path; they are the ground truth and the
 round-trip helpers that the tests check the library against.
@@ -84,6 +85,31 @@ def materialize_operator(apply, in_shape: Sequence[int]) -> np.ndarray:
         e[j] = 1.0
         cols.append(np.asarray(apply(e.reshape(in_shape))).ravel())
     return np.stack(cols, axis=1)
+
+
+def ff_forward(weights: Sequence[np.ndarray], x: np.ndarray):
+    """A zero-bias ReLU FF stack's activations (input first) and
+    pre-activations, every one a fresh array."""
+    acts, pres = [x], []
+    for w in weights:
+        pres.append(acts[-1] @ w.T)
+        acts.append(np.maximum(pres[-1], 0.0))
+    return acts, pres
+
+
+def ff_backward(weights: Sequence[np.ndarray], acts, pres, g: np.ndarray):
+    """Weight gradients (for (n, out) rows ``g``; None for seed rows) and
+    input cotangents of ``g`` swept back through :func:`ff_forward`'s masks,
+    ``pre > 0``, out of place at every layer."""
+    grads = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        mask = pres[i] > 0
+        g = g * (mask if g.ndim == 2 else mask[:, None, :])
+        if g.ndim == 2:
+            grads[i] = g.T @ acts[i]
+        w = weights[i]
+        g = (g.reshape(-1, w.shape[0]) @ w).reshape(*g.shape[:-1], w.shape[1])
+    return grads, g
 
 
 def set_param_vector(net, theta: np.ndarray) -> None:

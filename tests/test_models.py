@@ -261,6 +261,26 @@ def test_ff_backprop_input_matches_jacobian_transpose():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize("widths", [[5], [5, 4], [5, 4, 3]])
+def test_ff_backprop_leaves_the_rows_passed_in_unchanged(widths):
+    # The backward loop masks its own products in place; the caller's rows,
+    # plain or a read-only broadcast view, must come back as they went in.
+    net = init_ff(6, widths, 3, seed=len(widths))
+    rng = make_rng(len(widths), 8)
+    x = rng.standard_normal((4, 6))
+    rows = {"2-D": rng.standard_normal((4, 3)),
+            "read-only 2-D": np.broadcast_to(rng.standard_normal(3), (4, 3)),
+            "read-only seeds": np.broadcast_to(np.eye(3), (4, 3, 3))}
+    for name, g in rows.items():
+        before = g.copy()
+        _, cache = net.forward_cached(x)
+        if g.ndim == 2:
+            net.backprop_params(cache, g)
+            assert np.array_equal(g, before), name
+        net.backprop_input(cache, g)
+        assert np.array_equal(g, before), name
+
+
 def test_ff_layer_spectral_norms_match_svd():
     net = init_ff(6, [8, 7], 3, seed=21)
     got = net.layer_spectral_norms(TIGHT)

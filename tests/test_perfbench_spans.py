@@ -11,9 +11,12 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import liptrack.ensembles as ensembles
+import liptrack.training as training
 from liptrack.bounds import ProbeSet, build_report
-from liptrack.ensembles import sweep_biasvar
+from liptrack.ensembles import sweep_biasvar, train_ensemble
 from liptrack.harness import ExperimentConfig, build_data, run_sweep
 from liptrack.linalg import make_rng
 from liptrack.models import init_ff
@@ -107,3 +110,33 @@ def test_every_biasvar_pass_is_traced_once_per_row(monkeypatch):
     assert calls["variance_at"] == len(rows)
     # One for E||x − x′||² and one for r_sq.
     assert calls["mean_sq_dist"] == 2 * len(rows)
+
+
+@pytest.mark.parametrize("min_epochs, grads_per_member", [(3, 0), (0, 2)])
+def test_ensemble_members_make_only_the_full_set_passes_read(monkeypatch, min_epochs,
+                                                             grads_per_member):
+    # train_ensemble reads no record: a member takes the full-train gradient
+    # only where the stop rule could still end the run early (epochs
+    # min_epochs..max_epochs-1), and never the test loss.
+    d = ExperimentConfig().to_dict()
+    d["dataset"].update({"n_train": 40, "n_test": 10, "d": 6, "num_classes": 3})
+    d.update(seeds=[0, 1], loss="mse", grad_norm_threshold=1e-12, min_epochs=min_epochs,
+             max_epochs=3, batch_size=20)
+    cfg = ExperimentConfig.from_dict(d)
+    data = build_data(cfg)
+    calls = Counter()
+    real_grad, real_loss = training.param_grad, training.dataset_loss
+
+    def counting_grad(*args):
+        calls["param_grad"] += 1
+        return real_grad(*args)
+
+    def counting_loss(net, x, labels, kind):
+        calls["train loss" if x is data.train_x else "test loss"] += 1
+        return real_loss(net, x, labels, kind)
+
+    monkeypatch.setattr(training, "param_grad", counting_grad)
+    monkeypatch.setattr(training, "dataset_loss", counting_loss)
+    e = train_ensemble(cfg, data, 4)
+    assert len(e.members) == 2
+    assert calls == Counter({"param_grad": grads_per_member * len(e.members)})

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liptrack import linalg, training
+from liptrack.bounds import _softmax_cotangents
 from liptrack.datasets import DataPair, synthetic_fallback
 from liptrack.linalg import make_rng, vector_norm
 from liptrack.models import FFReluNet, init_cnn, init_ff
@@ -28,7 +29,7 @@ from liptrack.training import (
     updates_per_epoch,
 )
 from tests.conftest import active_input, tiny_pair
-from tests.oracles import read_trace_jsonl
+from tests.oracles import ff_backward, ff_forward, read_trace_jsonl
 
 
 def identity_net(k: int) -> FFReluNet:
@@ -120,6 +121,43 @@ def test_dataset_loss_chunk_invariance(monkeypatch):
     monkeypatch.setattr(linalg, "ROW_CHUNK", 4)
     b = dataset_loss(net, x, labels, "mse")
     assert a == pytest.approx(b, rel=1e-13)
+
+
+def _ff_kink_batches():
+    """A depth-3 net and two batches: one whose row 0 puts a hidden unit
+    exactly at 0, and the same batch with a NaN input row appended."""
+    net = init_ff(6, [8, 7, 5], 4, seed=31)
+    x = make_rng(31, 1).standard_normal((5, 6))
+    x[0, :2] = 0.5
+    net.weights[0][0] = [1.0, -1.0, 0.0, 0.0, 0.0, 0.0]
+    nan_row = x[1:2].copy()
+    nan_row[0, 3] = np.nan
+    return net, [x, np.concatenate([x, nan_row])]
+
+
+@pytest.mark.parametrize("kind", ["ce", "mse"])
+def test_ff_passes_match_the_out_of_place_oracle_bit_for_bit(kind):
+    net, batches = _ff_kink_batches()
+    for x in batches:
+        n = x.shape[0]
+        labels = np.arange(n) % 4
+        acts, pres = ff_forward(net.weights, x)
+        assert pres[0][0, 0] == 0.0
+        value, dout = training._loss_sum_and_dout(acts[-1], labels, kind)
+        want, _ = ff_backward(net.weights, acts, pres, dout / n)
+        got_value, got = loss_and_grad(net, x, labels, kind)
+        assert np.array_equal(got_value, value / n, equal_nan=True)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        # One row_chunks slice: param_grad sums one chunk's gradient.
+        want, _ = ff_backward(net.weights, acts, pres, dout)
+        got_value, got = param_grad(net, x, labels, kind)
+        assert np.array_equal(got_value, value / n, equal_nan=True)
+        assert np.array_equal(got, np.concatenate([w.ravel() for w in want]) / n, equal_nan=True)
+        for cotangents, seeds in ((None, np.broadcast_to(np.eye(4), (n, 4, 4))),
+                                  (_softmax_cotangents, _softmax_cotangents(acts[-1]))):
+            _, want = ff_backward(net.weights, acts, pres, seeds)
+            assert np.array_equal(net.input_jacobians(x, cotangents), want, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +380,9 @@ def test_train_validation_errors():
         train(net, data, "ce", Sgd(0.1), "constant", stop, batch_size=97, seed=0)
     with pytest.raises(ValueError, match="eval_every"):
         train(net, data, "ce", Sgd(0.1), "constant", stop, batch_size=32, seed=0, eval_every=0)
+    with pytest.raises(ValueError, match="on_epoch"):
+        train(net, data, "ce", Sgd(0.1), "constant", stop, batch_size=32, seed=0,
+              on_epoch=lambda *args: None, eval_every=None)
 
 
 def test_divergence_raises_with_epoch():
@@ -389,6 +430,34 @@ def test_divergence_at_end_of_skipped_epoch():
             train(net, data, "mse", _ScaleOnce(0.1, at=5, factor=1e200), "constant",
                   StopRule(float("inf"), 0, 20), batch_size=32, seed=0, eval_every=10)
     assert exc.value.epoch == 2
+
+
+@pytest.mark.parametrize("every", [2, None])
+def test_divergence_in_the_last_epoch_with_and_without_records(every):
+    # Update 5 is epoch 2's last, and epoch 2 the run's last.  With records
+    # its full-train gradient finds the loss non-finite; without, the stop
+    # rule cannot shorten the run there, and the train-set forward pass does.
+    data = tiny_pair()
+    net = init_ff(12, [16], 4, seed=6)
+    with pytest.raises(DivergenceError) as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            train(net, data, "mse", _ScaleOnce(0.1, at=5, factor=1e200), "constant",
+                  StopRule(1e-12, 0, 2), batch_size=32, seed=0, eval_every=every)
+    assert exc.value.epoch == 2
+
+
+@pytest.mark.parametrize("stop, reason", [(StopRule(float("inf"), 0, 3), "max_epochs"),
+                                          (StopRule(1e9, 2, 10), "grad_norm")])
+def test_training_without_records_keeps_the_weights(stop, reason):
+    data = tiny_pair()
+    nets = [init_ff(12, [16], 4, seed=9) for _ in range(2)]
+    traces = [train(net, data, "mse", Sgd(0.05), "constant", stop, batch_size=32, seed=4,
+                    eval_every=every) for net, every in zip(nets, (1, None))]
+    assert np.array_equal(nets[0].param_vector(), nets[1].param_vector())
+    assert traces[0].stop_reason == traces[1].stop_reason == reason
+    assert traces[1].records == []
+    with pytest.raises(ValueError, match="no epoch was recorded"):
+        traces[1].final
 
 
 def test_large_but_finite_weights_do_not_raise(monkeypatch):
@@ -488,6 +557,12 @@ CALL_CASES = [
     # No output bound for a CNN: skipped epochs run the train-set forward pass.
     (lambda: init_cnn(1, seed=2), _cnn_pair,
      StopRule(float("inf"), 0, 4), 3, False, [3, 4], [3, 4], [1, 2]),
+    # No records: the rule's gradient only where a stop could still shorten
+    # the run, and the last epoch's divergence check takes the loss path.
+    (lambda: init_ff(12, [16], 4, seed=9), tiny_pair,
+     StopRule(1e-12, 2, 4), None, False, [2, 3], [], []),
+    (lambda: init_cnn(1, seed=2), _cnn_pair,
+     StopRule(float("inf"), 0, 3), None, False, [], [], [1, 2, 3]),
 ]
 
 
