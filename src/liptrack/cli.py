@@ -115,6 +115,8 @@ def _cmd_train(args) -> int:
     cfg = _effective_config(args)
     if cfg.max_epochs < 1:  # the trace and checkpoint describe the last trained epoch
         raise ConfigError(f"train needs max_epochs >= 1, got {cfg.max_epochs}")
+    if not cfg.seeds:
+        raise ConfigError("train needs at least 1 seed, got none")
     data = _training_data(cfg)
     run_dir = write_run_dir(cfg, args.out, {"subcommand": "train"})
     seed = cfg.seeds[0]
@@ -158,6 +160,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_biasvar(args) -> int:
     cfg = _effective_config(args)
+    if len(cfg.seeds) < 2:  # one ensemble member per seed
+        raise ConfigError(f"biasvar needs at least 2 seeds, got {len(cfg.seeds)}")
     data = _training_data(cfg)
     try:
         resolve_xprime(args.xprime, data.test.inputs)

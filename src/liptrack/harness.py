@@ -203,7 +203,7 @@ def build_data(cfg: ExperimentConfig) -> DataPair:
         train_d, test_d = load_cifar10(ds["path"])
     else:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    if ds.get("subsample"):
+    if ds.get("subsample") is not None:  # a 0 is an error, not "all rows"
         train_d = subsample(train_d, ds["subsample"], ds.get("subsample_seed", 0))
     noise = ds.get("label_noise")
     if noise:

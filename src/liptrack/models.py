@@ -5,6 +5,12 @@ forward/backward for training, per-sample input Jacobians, per-layer
 spectral norms, and a flat parameter vector.  Weights are 64-bit
 throughout so analysis quantities cross-check against exact oracles.
 
+Each family has one forward pass, ``forward_cached``; ``forward`` is that
+pass with its cache dropped.  Both apply every ReLU in place on its
+layer's output and keep only the activations, so the backward loop reads
+each mask as ``act > 0``: true exactly where the pre-activation is > 0,
+since a NaN stays NaN.
+
 :func:`weight_shapes` is each family's one layer plan: the constructors,
 initialization, checkpoints and parameter counts all derive from it.
 
@@ -37,10 +43,6 @@ CHECKPOINT_FORMAT = "liptrack-checkpoint"
 CHECKPOINT_VERSION = 1
 
 _INIT_STREAM = 0x11A7
-
-
-def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
 
 
 def weight_shapes(arch: dict) -> list[tuple]:
@@ -85,6 +87,22 @@ class _ZeroBiasNet:
     def param_vector(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.weight_arrays()])
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Apply the net to one flat sample or a batch: :meth:`forward_cached`'s
+        output, its cache dropped."""
+        out, _ = self.forward_cached(x)
+        return out[0] if np.ndim(x) == 1 else out
+
+    def backprop_params(self, cache, dout: np.ndarray) -> list[np.ndarray]:
+        """Gradients of a scalar loss w.r.t. each weight, given d(loss)/d(output)."""
+        grads: list[np.ndarray] = [None] * len(self.weight_arrays())
+        self._backward(cache, dout, grads)
+        return grads
+
+    def backprop_input(self, cache, dout: np.ndarray) -> np.ndarray:
+        """Cotangent rows swept back to the flat input, ``(n, input_dim)``."""
+        return self._backward(cache, dout)
+
 
 class FFReluNet(_ZeroBiasNet):
     """Fully-connected net: zero-bias linear layers, ReLU after every one.
@@ -120,15 +138,6 @@ class FFReluNet(_ZeroBiasNet):
             raise ValueError(f"input dim {x.shape[-1]}, expected {self.input_dim}")
         return x
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Apply the net to one sample ``(d,)`` or a batch ``(n, d)``."""
-        x = self._check_input(x)
-        single = x.ndim == 1
-        a = x[None, :] if single else x
-        for w in self.weights:
-            a = _relu(a @ w.T)
-        return a[0] if single else a
-
     def forward_cached(self, x: np.ndarray):
         """Batch forward that keeps every layer's activations, the input
         first, for backprop; each ReLU acts in place on its GEMM's output."""
@@ -158,15 +167,6 @@ class FFReluNet(_ZeroBiasNet):
             w = self.weights[i]
             g = (g.reshape(-1, w.shape[0]) @ w).reshape(*g.shape[:-1], w.shape[1])
         return g
-
-    def backprop_params(self, cache, dout: np.ndarray) -> list[np.ndarray]:
-        """Gradients of a scalar loss w.r.t. each weight, given d(loss)/d(output)."""
-        grads: list[np.ndarray] = [None] * len(self.weights)
-        self._backward(cache, dout, grads)
-        return grads
-
-    def backprop_input(self, cache, dout: np.ndarray) -> np.ndarray:
-        return self._backward(cache, dout)
 
     def input_jacobians(self, x: np.ndarray,
                         cotangents: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -213,7 +213,8 @@ class FFReluNet(_ZeroBiasNet):
         # where its activation is positive).
         hidden = np.matmul(x, w1.T, out=ws.rows("hidden", n, w1.shape[0]))
         np.maximum(hidden, 0.0, out=hidden)
-        out = _relu(hidden @ w2.T)
+        out = hidden @ w2.T
+        np.maximum(out, 0.0, out=out)
         np.greater(hidden, 0.0, out=hidden)
         jac = np.matmul(hidden, ws.outer, out=ws.rows("jac", n, ws.outer.shape[1]))
         jac = jac.reshape(n, out_dim, self.input_dim)
@@ -481,49 +482,40 @@ class CnnNet(_ZeroBiasNet):
             raise ValueError(f"input shape {x.shape[1:]}, expected {self.input_shape}")
         return x
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        single = np.asarray(x).ndim == 1
-        out, _ = self.forward_cached(x)
-        return out[0] if single else out
-
     def forward_cached(self, x: np.ndarray):
+        """Batch forward that keeps each block's input, ReLU activation and
+        pooling routes for backprop; each ReLU acts in place on its conv's
+        output, as in :meth:`FFReluNet.forward_cached`."""
         a = self._as_images(x)
         block_caches = []
         for k, p in zip(self.kernels, self.pools):
-            z = conv2d(a, k)
-            r = _relu(z)
-            pooled, idx = maxpool(r, p)
-            block_caches.append((a, z, idx))
+            act = conv2d(a, k)
+            np.maximum(act, 0.0, out=act)
+            pooled, idx = maxpool(act, p)
+            block_caches.append((a, act, idx))
             a = pooled
         feat = a.reshape(a.shape[0], -1)
         out = feat @ self.linear_w.T
         return out, (block_caches, feat)
 
     def _backward(self, cache, dout: np.ndarray, grads: list | None = None) -> np.ndarray:
-        """Sweep (n, 10) cotangent rows back to the input images; or, into
-        ``grads``, the weight gradients (see :meth:`FFReluNet._backward`)."""
+        """Sweep (n, 10) cotangent rows back to flat (n, 3072) input rows; or,
+        into ``grads``, the weight gradients (see :meth:`FFReluNet._backward`).
+        Every cotangent is this loop's own product, from ``dout @ linear_w``
+        on, so each ReLU mask, read from the activation, applies in place."""
         block_caches, feat = cache
         if grads is not None:
             grads[-1] = dout.T @ feat
         g = (dout @ self.linear_w).reshape(*feat.shape, 1, 1)
         for i in range(len(self.kernels) - 1, -1, -1):
-            a_in, z, idx = block_caches[i]
+            a_in, act, idx = block_caches[i]
             g = maxpool_backward(g, idx, self.pools[i])
-            g = g * (z > 0)
+            np.multiply(g, act > 0, out=g)
             if grads is not None:
                 grads[i] = conv2d_kernel_grad(a_in, g)
                 if i == 0:
                     break
             g = conv2d_adjoint(g, self.kernels[i])
-        return g
-
-    def backprop_params(self, cache, dout: np.ndarray) -> list[np.ndarray]:
-        grads: list[np.ndarray] = [None] * (len(self.kernels) + 1)
-        self._backward(cache, dout, grads)
-        return grads
-
-    def backprop_input(self, cache, dout: np.ndarray) -> np.ndarray:
-        g = self._backward(cache, dout)
         return g.reshape(g.shape[0], -1)
 
     def input_jacobians(self, x: np.ndarray,

@@ -1,6 +1,6 @@
 """Test-only references: an exact spectral-norm oracle, dense matrices of
-linear maps, a plain FF forward/backward, a parameter-vector setter and a
-trace reader.
+linear maps, plain FF and CNN forward/backward passes, a parameter-vector
+setter and a trace reader.
 
 None of these is on a library path; they are the ground truth and the
 round-trip helpers that the tests check the library against.
@@ -14,6 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from liptrack.linalg import _as_matrix
+from liptrack.models import (CnnNet, conv2d, conv2d_adjoint, conv2d_kernel_grad, maxpool,
+                             maxpool_backward)
 from liptrack.training import EpochRecord, TrainTrace
 
 # Side cap for the exact oracle; it is O(n^3) per sweep.
@@ -110,6 +112,37 @@ def ff_backward(weights: Sequence[np.ndarray], acts, pres, g: np.ndarray):
         w = weights[i]
         g = (g.reshape(-1, w.shape[0]) @ w).reshape(*g.shape[:-1], w.shape[1])
     return grads, g
+
+
+def cnn_forward(weights: Sequence[np.ndarray], x: np.ndarray):
+    """A :class:`CnnNet`'s blocks, each (input, pre-activation, pooling
+    routes), its (n, 8w) features and (n, 10) outputs, every one a fresh
+    array; ``weights`` in ``weight_arrays()`` order, ``x`` flat rows."""
+    *kernels, linear_w = weights
+    a, blocks = x.reshape(-1, *CnnNet.input_shape), []
+    for k, p in zip(kernels, CnnNet.pools):
+        z = conv2d(a, k)
+        pooled, idx = maxpool(np.maximum(z, 0.0), p)
+        blocks.append((a, z, idx))
+        a = pooled
+    feat = a.reshape(a.shape[0], -1)
+    return blocks, feat, feat @ linear_w.T
+
+
+def cnn_backward(weights: Sequence[np.ndarray], blocks, feat, g: np.ndarray):
+    """Weight gradients and flat input cotangents of (n, 10) rows ``g``
+    swept back through :func:`cnn_forward`'s masks, ``pre > 0``, out of
+    place at every block."""
+    *kernels, linear_w = weights
+    grads = [None] * len(weights)
+    grads[-1] = g.T @ feat
+    g = (g @ linear_w).reshape(*feat.shape, 1, 1)
+    for i in range(len(kernels) - 1, -1, -1):
+        a_in, z, idx = blocks[i]
+        g = maxpool_backward(g, idx, CnnNet.pools[i]) * (z > 0)
+        grads[i] = conv2d_kernel_grad(a_in, g)
+        g = conv2d_adjoint(g, kernels[i])
+    return grads, g.reshape(g.shape[0], -1)
 
 
 def set_param_vector(net, theta: np.ndarray) -> None:

@@ -144,6 +144,14 @@ def test_config_error_paths_exit_one(tmp_path, capsys):
                      "--out", out]) == 1
     assert "config error: train needs max_epochs >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+    # train needs one seed, biasvar an ensemble of two, before any run dir.
+    for subcommand, seeds, message in (("train", "[]", "train needs at least 1 seed"),
+                                       ("biasvar", "[]", "biasvar needs at least 2 seeds, got 0"),
+                                       ("biasvar", "[0]", "biasvar needs at least 2 seeds, got 1")):
+        assert run_main([subcommand, "--config", cfg_path, "--set", f"seeds={seeds}",
+                         "--out", out]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not list(out.glob("run-*"))
     # x' is resolved against the 20-point test set before anything trains.
     for xprime in ("centroid", "test_point", "test_point:x", "test_point:1.5",
                    "test_point:-1", "test_point:20", "test_point:5000"):

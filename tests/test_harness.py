@@ -177,6 +177,18 @@ def test_build_data_synthetic_with_mutations():
         build_data(ExperimentConfig.from_dict(d))
 
 
+def test_subsample_zero_is_an_error_not_the_whole_train_set(monkeypatch):
+    # A size-0 subsample, from the config or from a samples sweep's grid,
+    # must not train on all 60 rows under a "0" label.
+    monkeypatch.delenv("LIPTRACK_WORKERS", raising=False)
+    d = quick_cfg().to_dict()
+    d["dataset"]["subsample"] = 0
+    with pytest.raises(ValueError, match=r"subsample size 0 not in \[1, 60\]"):
+        build_data(ExperimentConfig.from_dict(d))
+    with pytest.raises(ValueError, match=r"subsample size 0 not in \[1, 60\]"):
+        run_sweep(quick_cfg(samples_list=[0, 20], seeds=[0], max_epochs=1), "samples")
+
+
 # ---------------------------------------------------------------------------
 # Cells and sweeps
 

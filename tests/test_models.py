@@ -261,16 +261,20 @@ def test_ff_backprop_input_matches_jacobian_transpose():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
 
-@pytest.mark.parametrize("widths", [[5], [5, 4], [5, 4, 3]])
+@pytest.mark.parametrize("widths", [[5], [5, 4], [5, 4, 3], "cnn"])
 def test_ff_backprop_leaves_the_rows_passed_in_unchanged(widths):
-    # The backward loop masks its own products in place; the caller's rows,
+    # The backward loops mask their own products in place; the caller's rows,
     # plain or a read-only broadcast view, must come back as they went in.
-    net = init_ff(6, widths, 3, seed=len(widths))
     rng = make_rng(len(widths), 8)
-    x = rng.standard_normal((4, 6))
-    rows = {"2-D": rng.standard_normal((4, 3)),
-            "read-only 2-D": np.broadcast_to(rng.standard_normal(3), (4, 3)),
-            "read-only seeds": np.broadcast_to(np.eye(3), (4, 3, 3))}
+    if widths == "cnn":  # seed rows reach a CNN one (n, 10) slice at a time
+        net, x = init_cnn(2, seed=3), rng.standard_normal((2, 3072))
+    else:
+        net, x = init_ff(6, widths, 3, seed=len(widths)), rng.standard_normal((4, 6))
+    n, k = x.shape[0], net.output_dim
+    rows = {"2-D": rng.standard_normal((n, k)),
+            "read-only 2-D": np.broadcast_to(rng.standard_normal(k), (n, k))}
+    if widths != "cnn":
+        rows["read-only seeds"] = np.broadcast_to(np.eye(k), (n, k, k))
     for name, g in rows.items():
         before = g.copy()
         _, cache = net.forward_cached(x)

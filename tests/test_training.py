@@ -29,7 +29,7 @@ from liptrack.training import (
     updates_per_epoch,
 )
 from tests.conftest import active_input, tiny_pair
-from tests.oracles import ff_backward, ff_forward, read_trace_jsonl
+from tests.oracles import cnn_backward, cnn_forward, ff_backward, ff_forward, read_trace_jsonl
 
 
 def identity_net(k: int) -> FFReluNet:
@@ -154,9 +154,46 @@ def test_ff_passes_match_the_out_of_place_oracle_bit_for_bit(kind):
         got_value, got = param_grad(net, x, labels, kind)
         assert np.array_equal(got_value, value / n, equal_nan=True)
         assert np.array_equal(got, np.concatenate([w.ravel() for w in want]) / n, equal_nan=True)
+        assert np.array_equal(dataset_loss(net, x, labels, kind), value / n, equal_nan=True)
+        assert np.array_equal(net.forward(x), acts[-1], equal_nan=True)
+        assert np.array_equal(net.forward(x[0]), ff_forward(net.weights, x[:1])[0][-1][0])
         for cotangents, seeds in ((None, np.broadcast_to(np.eye(4), (n, 4, 4))),
                                   (_softmax_cotangents, _softmax_cotangents(acts[-1]))):
             _, want = ff_backward(net.weights, acts, pres, seeds)
+            assert np.array_equal(net.input_jacobians(x, cotangents), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", ["ce", "mse"])
+def test_cnn_passes_match_the_out_of_place_oracle_bit_for_bit(kind):
+    # A width-2 net on two random images and an all-zero one (every unit
+    # exactly at 0), then the same batch plus an image with a NaN pixel: the
+    # in-place ReLUs and masks must give the bits of the pre-activation masks.
+    net = init_cnn(2, seed=33)
+    weights = net.weight_arrays()
+    batch = make_rng(33, 1).standard_normal((4, 3072))
+    batch[2] = 0.0
+    batch[3, 1000] = np.nan
+    for x in (batch[:3], batch):
+        n = x.shape[0]
+        labels = np.arange(n) % 10
+        blocks, feat, out = cnn_forward(weights, x)
+        assert np.isnan(out[3:]).all() and not np.isnan(out[:3]).any()
+        value, dout = training._loss_sum_and_dout(out, labels, kind)
+        want, _ = cnn_backward(weights, blocks, feat, dout / n)
+        got_value, got = loss_and_grad(net, x, labels, kind)
+        assert np.array_equal(got_value, value / n, equal_nan=True)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        want, _ = cnn_backward(weights, blocks, feat, dout)
+        got_value, got = param_grad(net, x, labels, kind)
+        assert np.array_equal(got_value, value / n, equal_nan=True)
+        assert np.array_equal(got, np.concatenate([w.ravel() for w in want]) / n, equal_nan=True)
+        assert np.array_equal(dataset_loss(net, x, labels, kind), value / n, equal_nan=True)
+        assert np.array_equal(net.forward(x), out, equal_nan=True)
+        for cotangents, seeds in ((None, np.broadcast_to(np.eye(10), (n, 10, 10))),
+                                  (_softmax_cotangents, _softmax_cotangents(out))):
+            want = np.stack([cnn_backward(weights, blocks, feat, seeds[:, k])[1]
+                             for k in range(10)], axis=1)
             assert np.array_equal(net.input_jacobians(x, cotangents), want, equal_nan=True)
 
 
