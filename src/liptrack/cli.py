@@ -17,9 +17,9 @@ from pathlib import Path
 from . import __version__
 from .bounds import ProbeSet, build_report
 from .ensembles import resolve_xprime, sweep_biasvar, write_biasvar_csv
-from .harness import (ExperimentConfig, PLOT_KINDS, SWEEP_AXES, apply_overrides, apply_profile,
-                      build_data, cell_net, emit_plot_data, read_records_jsonl, run_sweep,
-                      train_cell, write_failures, write_run_dir)
+from .harness import (AXIS_SIZES, ExperimentConfig, PLOT_KINDS, SWEEP_AXES, apply_overrides,
+                      apply_profile, build_data, cell_net, emit_plot_data, read_records_jsonl,
+                      run_sweep, train_cell, write_failures, write_run_dir)
 from .models import load_checkpoint, save_checkpoint
 from .training import DivergenceError, check_batch_size
 
@@ -134,6 +134,9 @@ def _cmd_sweep(args) -> int:
     cfg = _effective_config(args)
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; expected one of {SWEEP_AXES}")
+    for key in ("seeds", AXIS_SIZES[args.axis]):  # an empty grid trains nothing
+        if not getattr(cfg, key):
+            raise ConfigError(f"sweep --axis {args.axis} needs at least 1 value in {key}, got none")
     _log(f"sweep axis={args.axis} -> {args.out}")
     records, summary, failures = run_sweep(cfg, args.axis, args.out)
     _log(f"wrote {len(records)} records, {len(summary)} summary rows, "

@@ -8,7 +8,10 @@ bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +29,11 @@ CIFAR_RECORD_BYTES = 1 + CIFAR_DIM
 _SHUFFLE_LABEL_STREAM = 0xA1FA
 _SUBSAMPLE_STREAM = 0x50B5
 _SYNTH_STREAM = 0x5F4B
+
+# MNIST1D row cache: the directory beside each CSV, and the version of what
+# an entry holds and how it was parsed (bump it when either changes).
+_CACHE_DIR = "__liptrack_cache__"
+_CACHE_VERSION = 1
 
 
 @dataclass
@@ -106,7 +114,8 @@ class DataPair:
 
 
 def _read_mnist1d_csv(path: Path, expect_split_column: bool) -> dict[str, tuple]:
-    """Parse one CSV; returns ``(labels, inputs)`` arrays by split name.
+    """Parse one CSV, or load its rows from the cache; returns ``(labels,
+    inputs)`` arrays by split name.
 
     Header must be exactly ``label,x0..x39`` (with a leading ``split``
     column in single-file form).  ``np.loadtxt`` reads the rows after it.
@@ -114,13 +123,37 @@ def _read_mnist1d_csv(path: Path, expect_split_column: bool) -> dict[str, tuple]
     with ``int()`` labels and ``float()`` features accepts (quoted fields,
     say), and fails on the first malformed row with its row number so bad
     exports are easy to locate.
+
+    Rows that ``np.loadtxt`` read are kept in ``__liptrack_cache__/`` beside
+    the CSV, as ``<csv name>.<key>.npy``, where the key is the SHA-256 of the
+    file's bytes, its form (split column or not) and ``_CACHE_VERSION``.  The
+    same bytes then load from that entry without a parse: they passed the
+    header and blank-line checks when it was written.  An entry that fails
+    to load is parsed again and rewritten; a cache that cannot be written
+    is skipped.  Writing an entry deletes the CSV's older ones.
     """
-    feature_names = [f"x{i}" for i in range(MNIST1D_DIM)]
-    expected_header = (["split"] if expect_split_column else []) + ["label"] + feature_names
+    header = ((["split"] if expect_split_column else []) + ["label"]
+              + [f"x{i}" for i in range(MNIST1D_DIM)])
     # A longer split name is cut to six characters, which equal neither
     # "train" nor "test".
-    fields = (([("split", "U6")] if expect_split_column else [])
-              + [("label", np.int64), ("x", np.float64, MNIST1D_DIM)])
+    fields = np.dtype(([("split", "U6")] if expect_split_column else [])
+                      + [("label", np.int64), ("x", np.float64, MNIST1D_DIM)])
+    entry = _cache_entry(path, expect_split_column)
+    rows = _load_cached_rows(entry, fields)
+    if rows is None:
+        rows = _loadtxt_rows(path, header, fields)
+        if rows is None:
+            return _parse_mnist1d_rows(path, len(header), expect_split_column)
+        # Kept only when the bytes are still those the key was made from, so
+        # a file replaced during the parse leaves no entry.
+        if _cache_entry(path, expect_split_column) == entry:
+            _write_cached_rows(entry, rows)
+    return _grouped(rows["split"] if expect_split_column else None, rows["label"], rows["x"])
+
+
+def _loadtxt_rows(path: Path, expected_header: list, fields: np.dtype) -> np.ndarray | None:
+    """The rows of a CSV by one ``np.loadtxt`` call; None when it rejects
+    them or a split is unknown."""
     with open(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -135,22 +168,64 @@ def _read_mnist1d_csv(path: Path, expect_split_column: bool) -> dict[str, tuple]
         # training that usually follows trims and re-grows the heap on every
         # SGD step.
         body = fh.read()
-        rows = None
         # np.loadtxt would skip a blank line ("\n\n" after universal newlines)
         # and warn on an empty body; the row parser rejects the one and
         # returns no rows for the other.
-        if body and body[0] != "\n" and "\n\n" not in body:
-            fh.seek(0)
-            next(fh)  # the header, one line since it matched
-            try:
-                rows = np.loadtxt(fh, dtype=fields, delimiter=",", quotechar='"',
-                                  comments=None, ndmin=1)
-            except ValueError:
-                pass
-    splits = rows["split"] if rows is not None and expect_split_column else None
-    if rows is None or splits is not None and not np.isin(splits, ("train", "test")).all():
-        return _parse_mnist1d_rows(path, len(expected_header), expect_split_column)
-    return _grouped(splits, rows["label"], rows["x"])
+        if not body or body[0] == "\n" or "\n\n" in body:
+            return None
+        fh.seek(0)
+        next(fh)  # the header, one line since it matched
+        try:
+            rows = np.loadtxt(fh, dtype=fields, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+        except ValueError:
+            return None
+    if "split" in fields.names and not np.isin(rows["split"], ("train", "test")).all():
+        return None
+    return rows
+
+
+def _cache_entry(path: Path, expect_split_column: bool) -> Path:
+    """The cache entry of the CSV's current bytes.  They are read whole and
+    freed on return, before any entry loads: as with the body in
+    ``_loadtxt_rows``, freeing a multi-MB block lifts glibc's trim threshold."""
+    key = hashlib.sha256(f"{_CACHE_VERSION}:{int(expect_split_column)}:".encode())
+    key.update(path.read_bytes())
+    return path.parent / _CACHE_DIR / f"{path.name}.{key.hexdigest()}.npy"
+
+
+def _load_cached_rows(entry: Path, fields: np.dtype) -> np.ndarray | None:
+    """The rows an entry holds, or None when it cannot be read as them.
+
+    They are mapped, not read: the datasets copy them out, and the map goes
+    with the last view.  Entries are only ever replaced, never rewritten in
+    place, so a mapped one cannot shrink.
+    """
+    try:
+        rows = np.load(entry, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError, EOFError):  # an empty file raises EOFError
+        return None
+    return rows if rows.dtype == fields and rows.ndim == 1 else None
+
+
+def _write_cached_rows(entry: Path, rows: np.ndarray) -> None:
+    """Write ``entry`` through a temporary file and delete the CSV's older
+    entries; an OSError leaves the rest undone."""
+    # Created as open() creates a file (mode 0o666 less the umask), unlike a
+    # tempfile, so the entry serves every user who can read the CSV.
+    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as fh:
+            np.save(fh, rows, allow_pickle=False)
+        os.replace(tmp, entry)
+        csv_name = entry.name.rsplit(".", 2)[0]
+        for old in entry.parent.glob("*.npy"):
+            if old != entry and old.name.rsplit(".", 2)[0] == csv_name:
+                old.unlink(missing_ok=True)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _grouped(splits, labels: np.ndarray, inputs: np.ndarray) -> dict[str, tuple]:

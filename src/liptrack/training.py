@@ -45,26 +45,41 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return np.eye(num_classes)[labels]
 
 
-def _loss_sum_and_dout(out: np.ndarray, labels: np.ndarray, kind: str):
-    """Summed (not averaged) loss over the batch plus d(sum)/d(out)."""
+def _targets(labels: np.ndarray, num_classes: int, kind: str) -> np.ndarray:
+    """What ``kind``'s loss compares the outputs with, for labels already
+    checked: the labels for CE, their one-hot rows for MSE."""
+    return np.eye(num_classes)[labels] if kind == "mse" else labels
+
+
+def _loss_sum_and_dout(out: np.ndarray, targets: np.ndarray, kind: str):
+    """Summed (not averaged) loss over the batch plus d(sum)/d(out), against
+    the batch's ``_targets`` rows."""
     if kind == "mse":
-        resid = out - one_hot(labels, out.shape[1])
+        resid = out - targets
         return float(np.sum(resid * resid)), 2.0 * resid
     if kind == "ce":
-        labels = _check_labels(labels, out.shape[1])
+        rows = np.arange(len(targets))
         shifted = out - out.max(axis=1, keepdims=True)
         logz = np.log(np.sum(np.exp(shifted), axis=1))
-        value = float(np.sum(logz - shifted[np.arange(len(labels)), labels]))
+        value = float(np.sum(logz - shifted[rows, targets]))
         dout = np.exp(shifted - logz[:, None])
-        dout[np.arange(len(labels)), labels] -= 1.0
+        dout[rows, targets] -= 1.0
         return value, dout
     raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
 
 
-def loss_and_grad(net, x: np.ndarray, labels: np.ndarray, kind: str):
-    """Mean batch loss and its gradient w.r.t. every weight array."""
+def loss_and_grad(net, x: np.ndarray, labels: np.ndarray | None, kind: str,
+                  targets: np.ndarray | None = None):
+    """Mean batch loss and its gradient w.r.t. every weight array.
+
+    A caller that holds the batch's ``_targets`` rows passes them as
+    ``targets`` (``train`` builds them once per run), and ``labels`` is not
+    read; otherwise the labels are checked here.
+    """
     out, cache = net.forward_cached(x)
-    value, dout = _loss_sum_and_dout(out, labels, kind)
+    if targets is None:
+        targets = _targets(_check_labels(labels, out.shape[1]), out.shape[1], kind)
+    value, dout = _loss_sum_and_dout(out, targets, kind)
     n = out.shape[0]
     grads = net.backprop_params(cache, dout / n)
     return value / n, grads
@@ -78,11 +93,12 @@ def param_grad(net, x: np.ndarray, labels: np.ndarray, kind: str):
     minibatch estimate.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    labels = _check_labels(labels, net.output_dim)
     total = 0.0
     acc = None
-    for xb, yb in row_chunks(x, np.asarray(labels)):
+    for xb, yb in row_chunks(x, labels):
         out, cache = net.forward_cached(xb)
-        value, dout = _loss_sum_and_dout(out, yb, kind)
+        value, dout = _loss_sum_and_dout(out, _targets(yb, net.output_dim, kind), kind)
         total += value
         grads = net.backprop_params(cache, dout)
         flat = np.concatenate([g.ravel() for g in grads])
@@ -94,9 +110,10 @@ def dataset_loss(net, x: np.ndarray, labels: np.ndarray, kind: str) -> float:
     """Mean loss of the net over a sample set, in ``row_chunks`` slices; MSE
     is the squared 2-norm against one-hots."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    labels = _check_labels(labels, net.output_dim)
     total = 0.0
-    for xb, yb in row_chunks(x, np.asarray(labels)):
-        value, _ = _loss_sum_and_dout(net.forward(xb), yb, kind)
+    for xb, yb in row_chunks(x, labels):
+        value, _ = _loss_sum_and_dout(net.forward(xb), _targets(yb, net.output_dim, kind), kind)
         total += value
     return total / x.shape[0]
 
@@ -349,6 +366,8 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
     schedule = LrSchedule(schedule_variant, updates_per_epoch(n, batch_size))
     rng = make_rng(seed, _SHUFFLE_STREAM)
     x_norm = float(np.sqrt(np.max(np.einsum("ij,ij->i", x, x))))  # max_i ‖x_i‖
+    # Checked once here: each step indexes these rows, unchecked.
+    targets = _targets(_check_labels(y, net.output_dim), net.output_dim, kind)
 
     def train_loss_and_grad_norm(epoch: int) -> tuple[float, float]:
         train_loss, grad = param_grad(net, x, y, kind)
@@ -378,7 +397,7 @@ def train(net, dataset, kind: str, optimizer, schedule_variant: str, stop: StopR
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
             coeff = schedule.coeff(update)
-            value, grads = loss_and_grad(net, x[idx], y[idx], kind)
+            value, grads = loss_and_grad(net, x[idx], None, kind, targets=targets[idx])
             if not math.isfinite(value):
                 raise DivergenceError(epoch)
             optimizer.step(net.weight_arrays(), grads, coeff)

@@ -1,16 +1,19 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import liptrack.datasets as datasets
 import liptrack.ensembles as ensembles
 import liptrack.harness as harness
 from liptrack import __version__
 from liptrack.cli import main
+from liptrack.datasets import synthetic_fallback
 from liptrack.ensembles import BIASVAR_CSV_COLUMNS
 from liptrack.harness import ExperimentConfig
 from liptrack.models import load_checkpoint
@@ -231,6 +234,18 @@ def test_sweep_rejects_unknown_axis(tmp_path, capsys):
     assert "unknown sweep axis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis,key", [("width", "seeds"), ("width", "widths"),
+                                      ("noise", "noise_list")])
+def test_sweep_rejects_an_empty_grid(tmp_path, capsys, axis, key):
+    cfg_path, _ = write_cfg(tmp_path)
+    out = tmp_path / "runs"
+    assert run_main(["sweep", "--config", cfg_path, "--axis", axis, "--set", f"{key}=[]",
+                     "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: sweep --axis {axis} needs at least 1 value in {key}, got none" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -323,6 +338,45 @@ def test_bounds_stdout_identical_across_blas_thread_counts(tmp_path):
     for extra in ((), ("--softmax",)):
         assert json.loads(outputs["1", extra])["c_probe"] is not None
         assert outputs["1", extra] == outputs["2", extra]
+
+
+def test_mnist1d_outputs_identical_with_cold_and_warm_row_cache(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    header = ["label"] + [f"x{i}" for i in range(40)]
+    for split in synthetic_fallback(4000, 1000, 40, 10, seed=3):
+        with open(data / f"{split.split}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([label] + [repr(v) for v in row]
+                             for label, row in zip(split.labels.tolist(), split.inputs.tolist()))
+    cfg_path, _ = write_cfg(tmp_path, width=8, seeds=[0], max_epochs=2, batch_size=256)
+    cache = data / "__liptrack_cache__"
+
+    def run_all(out, before_each):
+        before_each()
+        assert run_main(["train", "--config", cfg_path, "--set", "dataset.kind=mnist1d",
+                         "--set", f"dataset.path={data}", "--out", out]) == 0
+        [run_dir] = out.glob("run-*")
+        files = [(run_dir / name).read_bytes() for name in ("trace.jsonl", "checkpoint.json")]
+        stdout = [capsys.readouterr().out]
+        for extra in ([], ["--softmax"]):
+            before_each()
+            assert run_main(["bounds", "--checkpoint", run_dir / "checkpoint.json", "--data", data,
+                             "--probe", "--pairs-per-lambda", 20, *extra]) == 0
+            stdout.append(capsys.readouterr().out)
+        return files, stdout
+
+    cold = run_all(tmp_path / "cold", lambda: shutil.rmtree(cache, ignore_errors=True))
+    assert len(list(cache.iterdir())) == 2
+
+    def refuse(path, *args):
+        raise AssertionError(f"{path}: parsed with a warm cache")
+
+    monkeypatch.setattr(datasets, "_loadtxt_rows", refuse)
+    warm = run_all(tmp_path / "warm", lambda: None)
+    assert json.loads(cold[1][1])["c_probe"] is not None
+    assert warm == cold
 
 
 @pytest.mark.parametrize("subcommand, files", [

@@ -390,6 +390,145 @@ def test_load_mnist1d_missing_split_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# MNIST1D row cache
+
+
+def write_mnist1d(tmp_path, form):
+    """Full-size MNIST1D data in directory or single-file form; returns the
+    path ``load_mnist1d`` takes."""
+    train_rows = make_rows(4000, "train", seed=0, mixed=True)
+    test_rows = make_rows(1000, "test", seed=1, mixed=True)
+    if form == "file":
+        path = tmp_path / "all.csv"
+        write_mnist1d_rows(path, test_rows[:500] + train_rows + test_rows[500:], with_split=True)
+        return path
+    path = tmp_path / "data"
+    path.mkdir()
+    write_mnist1d_rows(path / "train.csv", [r[1:] for r in train_rows], with_split=False)
+    write_mnist1d_rows(path / "test.csv", [r[1:] for r in test_rows], with_split=False)
+    return path
+
+
+def cache_dir(path):
+    return (path if path.is_dir() else path.parent) / "__liptrack_cache__"
+
+
+def cache_entries(path) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(cache_dir(path).iterdir())}
+
+
+def count_parses(monkeypatch) -> list:
+    """Paths that np.loadtxt parses from now on."""
+    parsed = []
+    loadtxt_rows = datasets._loadtxt_rows
+
+    def counting(path, *args):
+        parsed.append(path.name)
+        return loadtxt_rows(path, *args)
+
+    monkeypatch.setattr(datasets, "_loadtxt_rows", counting)
+    return parsed
+
+
+def assert_same_pairs(a, b):
+    for x, y in zip(a, b):
+        assert same_bits(x.inputs, y.inputs)
+        assert same_bits(x.labels, y.labels)
+
+
+@pytest.mark.parametrize("form", ["dir", "file"])
+def test_mnist1d_cache_hit_is_bit_identical_to_a_parse(tmp_path, monkeypatch, form):
+    path = write_mnist1d(tmp_path, form)
+    parsed = count_parses(monkeypatch)
+    fresh = load_mnist1d(path)
+    names = ["test.csv", "train.csv"] if form == "dir" else ["all.csv"]
+    assert sorted(parsed) == names
+    entries = cache_entries(path)
+    assert [name.rsplit(".", 2)[0] for name in entries] == names
+    cached = load_mnist1d(path)
+    assert sorted(parsed) == names  # no second parse
+    assert_same_pairs(fresh, cached)
+    assert np.isnan(cached[0].inputs).any()
+    assert cache_entries(path) == entries
+
+
+def test_mnist1d_cache_misses_on_an_edit(tmp_path, monkeypatch):
+    path = write_mnist1d(tmp_path, "file")
+    first = load_mnist1d(path)
+    raw = path.read_bytes()
+    # Train's first row is line 502, after the header and 500 test rows:
+    # edit its label.
+    at = raw.index(b"\r\ntrain,") + len(b"\r\ntrain,")
+    label = int(raw[at:at + 1])
+    path.write_bytes(raw[:at] + str((label + 1) % 10).encode() + raw[at + 1:])
+    parsed = count_parses(monkeypatch)
+    edited = load_mnist1d(path)
+    assert parsed == ["all.csv"]
+    assert (first[0].labels[0], edited[0].labels[0]) == (label, (label + 1) % 10)
+    assert same_bits(edited[0].labels[1:], first[0].labels[1:])
+    assert same_bits(edited[0].inputs, first[0].inputs)
+    assert_same_pairs(edited[1:], first[1:])
+
+    path.write_bytes(raw[:at] + b"x" + raw[at + 1:])
+    with pytest.raises(ValueError, match=r"all\.csv:502: non-numeric"):
+        load_mnist1d(path)
+
+
+def test_mnist1d_cache_skips_a_file_replaced_during_the_parse(tmp_path, monkeypatch):
+    path = write_mnist1d(tmp_path, "file")
+    loadtxt_rows = datasets._loadtxt_rows
+
+    def replaced_after(csv_path, *args):
+        rows = loadtxt_rows(csv_path, *args)
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"\r\n", b"\n"))
+        return rows
+
+    monkeypatch.setattr(datasets, "_loadtxt_rows", replaced_after)
+    load_mnist1d(path)
+    assert not cache_dir(path).exists()
+
+
+def test_mnist1d_cache_keeps_one_entry_per_csv(tmp_path):
+    path = write_mnist1d(tmp_path, "dir")
+    load_mnist1d(path)
+    before = cache_entries(path)
+    train_csv = path / "train.csv"
+    train_csv.write_bytes(train_csv.read_bytes().replace(b"\r\n", b"\n"))
+    load_mnist1d(path)
+    after = cache_entries(path)
+    assert len(after) == 2
+    assert [name.rsplit(".", 2)[0] for name in after] == ["test.csv", "train.csv"]
+    assert list(after)[0] == list(before)[0] and list(after)[1] != list(before)[1]
+
+
+@pytest.mark.parametrize("damage", [lambda b: b"garbage" * 9, lambda b: b[:len(b) // 2],
+                                    lambda b: b[:60], lambda b: b""],
+                         ids=["garbage", "half", "header", "empty"])
+def test_mnist1d_cache_damaged_entry_is_parsed_and_rewritten(tmp_path, monkeypatch, damage):
+    path = write_mnist1d(tmp_path, "file")
+    fresh = load_mnist1d(path)
+    [(name, good)] = cache_entries(path).items()
+    entry = cache_dir(path) / name
+    entry.write_bytes(damage(good))
+    parsed = count_parses(monkeypatch)
+    assert_same_pairs(load_mnist1d(path), fresh)
+    assert parsed == ["all.csv"]
+    assert cache_entries(path) == {name: good}
+
+
+def test_mnist1d_cache_that_is_a_file_is_skipped(tmp_path, monkeypatch):
+    path = write_mnist1d(tmp_path, "dir")
+    cache_dir(path).write_text("not a directory\n")
+    before = sorted(p.name for p in path.iterdir())
+    parsed = count_parses(monkeypatch)
+    fresh = load_mnist1d(path)
+    assert_same_pairs(load_mnist1d(path), fresh)
+    assert len(parsed) == 4
+    assert sorted(p.name for p in path.iterdir()) == before
+    assert cache_dir(path).read_text() == "not a directory\n"
+
+
+# ---------------------------------------------------------------------------
 # CIFAR-10 binary contract
 
 

@@ -143,7 +143,7 @@ def test_ff_passes_match_the_out_of_place_oracle_bit_for_bit(kind):
         labels = np.arange(n) % 4
         acts, pres = ff_forward(net.weights, x)
         assert pres[0][0, 0] == 0.0
-        value, dout = training._loss_sum_and_dout(acts[-1], labels, kind)
+        value, dout = training._loss_sum_and_dout(acts[-1], training._targets(labels, 4, kind), kind)
         want, _ = ff_backward(net.weights, acts, pres, dout / n)
         got_value, got = loss_and_grad(net, x, labels, kind)
         assert np.array_equal(got_value, value / n, equal_nan=True)
@@ -178,7 +178,7 @@ def test_cnn_passes_match_the_out_of_place_oracle_bit_for_bit(kind):
         labels = np.arange(n) % 10
         blocks, feat, out = cnn_forward(weights, x)
         assert np.isnan(out[3:]).all() and not np.isnan(out[:3]).any()
-        value, dout = training._loss_sum_and_dout(out, labels, kind)
+        value, dout = training._loss_sum_and_dout(out, training._targets(labels, 10, kind), kind)
         want, _ = cnn_backward(weights, blocks, feat, dout / n)
         got_value, got = loss_and_grad(net, x, labels, kind)
         assert np.array_equal(got_value, value / n, equal_nan=True)
