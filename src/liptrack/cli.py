@@ -85,16 +85,23 @@ def _effective_config(args) -> ExperimentConfig:
         raise ConfigError(f"bad config value: {err}")
 
 
-def _load_data_ref(ref: str):
-    """Resolve a --data reference: 'synthetic', a CSV file/dir, or a CIFAR dir."""
+def _load_data_ref(ref: str, input_dim: int):
+    """Resolve a --data reference for a net with ``input_dim`` inputs:
+    'synthetic' (built at that dimension), a CSV file/dir, or a CIFAR dir."""
     cfg = ExperimentConfig()
-    if ref != "synthetic":
+    if ref == "synthetic":
+        cfg.dataset["d"] = input_dim
+    else:
         path = Path(ref)
         if not path.exists():
             raise ConfigError(f"data reference not found: {path}")
         kind = "cifar10" if path.is_dir() and (path / "data_batch_1.bin").exists() else "mnist1d"
         cfg.dataset.update(kind=kind, path=path)
-    return build_data(cfg)
+    data = build_data(cfg)
+    if data.train.dim != input_dim:
+        raise ConfigError(f"--data {ref} has {data.train.dim}-d inputs, "
+                          f"but the checkpoint's net takes {input_dim}-d inputs")
+    return data
 
 
 def _training_data(cfg: ExperimentConfig):
@@ -149,7 +156,7 @@ def _cmd_bounds(args) -> int:
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     net, meta = load_checkpoint(ckpt_path)
-    data = _load_data_ref(args.data)
+    data = _load_data_ref(args.data, net.input_dim)
     probe = None
     if args.probe:
         probe = ProbeSet(data.train.inputs, data.test.inputs, args.pairs_per_lambda,

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -246,10 +245,14 @@ def train_cell(cfg: ExperimentConfig, net, data: DataPair, seed: int, on_epoch=N
                  cfg.batch_size, seed, on_epoch=on_epoch, eval_every=eval_every)
 
 
-def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int):
-    """Train one grid cell and return its SweepRecord dicts (epoch 0 included)."""
+def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int, data: DataPair | None = None):
+    """Train one grid cell and return its SweepRecord dicts (epoch 0 included).
+
+    ``data`` is the cell's dataset when the caller holds it already (see
+    ``_SweepCells``); by default it is built from the cell's config."""
     cell_cfg = _cell_config(cfg, axis, size)
-    data = build_data(cell_cfg)
+    if data is None:
+        data = build_data(cell_cfg)
     # A small or subsampled train set can fall below the configured batch
     # size; the cell then runs full-batch.
     cell_cfg = replace(cell_cfg, batch_size=min(cfg.batch_size, data.train_x.shape[0]))
@@ -269,13 +272,40 @@ def run_cell(cfg: ExperimentConfig, axis: str, size, seed: int):
     return records
 
 
-def _cell_worker(args):
-    cfg_dict, axis, size, seed = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    try:
-        return run_cell(cfg, axis, size, seed), None
-    except DivergenceError as err:
-        return [], {"size": size, "seed": seed, "epoch": err.epoch, "error": str(err)}
+class _SweepCells:
+    """Trains the cells of one sweep, building each dataset once for the run
+    of cells that share its spec.  Cells come in size order, so only the
+    last dataset is kept: one build for the width and depth axes, one per
+    size for samples and noise."""
+
+    def __init__(self, cfg: ExperimentConfig, axis: str):
+        self.cfg, self.axis = cfg, axis
+        self.spec = self.data = None
+
+    def run(self, task):
+        size, seed = task
+        cell_cfg = _cell_config(self.cfg, self.axis, size)
+        if cell_cfg.dataset != self.spec:
+            self.spec = self.data = None  # free the old set before building the next
+            self.data = build_data(cell_cfg)
+            self.spec = cell_cfg.dataset
+        try:
+            return run_cell(self.cfg, self.axis, size, seed, self.data), None
+        except DivergenceError as err:
+            return [], {"size": size, "seed": seed, "epoch": err.epoch, "error": str(err)}
+
+
+# The sweep whose cells a pool process trains, set by the pool's initializer.
+_pool_cells: _SweepCells | None = None
+
+
+def _start_pool_process(cfg: ExperimentConfig, axis: str) -> None:
+    global _pool_cells
+    _pool_cells = _SweepCells(cfg, axis)
+
+
+def _run_pool_cell(task):
+    return _pool_cells.run(task)
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, out_dir=None):
@@ -290,13 +320,18 @@ def run_sweep(cfg: ExperimentConfig, axis: str, out_dir=None):
     sizes = getattr(cfg, AXIS_SIZES[axis])
     meta = {"subcommand": "sweep", "axis": axis}
     run_dir = None if out_dir is None else write_run_dir(cfg, out_dir, meta)
-    tasks = [(cfg.to_dict(), axis, size, seed) for size in sizes for seed in cfg.seeds]
+    tasks = [(size, seed) for size in sizes for seed in cfg.seeds]
     workers = int(os.environ.get(ENV_WORKERS, "1"))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cell_worker, tasks))
+        # Imported here: the pool machinery (multiprocessing and what it
+        # loads) is a quarter of `import liptrack.cli`, and only pools use it.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_pool_process,
+                                 initargs=(cfg, axis)) as pool:
+            results = list(pool.map(_run_pool_cell, tasks))
     else:
-        results = [_cell_worker(t) for t in tasks]
+        cells = _SweepCells(cfg, axis)
+        results = [cells.run(task) for task in tasks]
     records = []
     failures = []
     for recs, failure in results:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import liptrack.cli as cli
 import liptrack.datasets as datasets
 import liptrack.ensembles as ensembles
 import liptrack.harness as harness
@@ -213,10 +214,10 @@ def test_sweep_clean_rerun_removes_stale_failures(tmp_path, monkeypatch):
     failures = out / f"run-{cfg.config_hash()}" / "failures.json"
     real_run_cell = harness.run_cell
 
-    def failing_run_cell(c, axis, size, seed):
+    def failing_run_cell(c, axis, size, seed, data=None):
         if size == 6:
             raise DivergenceError(1)
-        return real_run_cell(c, axis, size, seed)
+        return real_run_cell(c, axis, size, seed, data)
 
     monkeypatch.delenv("LIPTRACK_WORKERS", raising=False)
     monkeypatch.setattr(harness, "run_cell", failing_run_cell)
@@ -225,6 +226,26 @@ def test_sweep_clean_rerun_removes_stale_failures(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "run_cell", real_run_cell)
     assert run_main(["sweep", "--config", cfg_path, "--out", out]) == 0
     assert not failures.exists()
+
+
+def test_single_worker_runs_never_load_the_process_pool(tmp_path):
+    # The pool machinery is a quarter of the CLI's import time; only a sweep
+    # with LIPTRACK_WORKERS > 1 may load it.
+    cfg_path, _ = write_cfg(tmp_path, widths=[4], seeds=[0], max_epochs=1)
+    code = ("import json, sys\n"
+            "def pool(): return sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules))\n"
+            "import numpy\n"
+            "import liptrack.cli\n"
+            "after_import = pool()\n"
+            "code = liptrack.cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(json.dumps([after_import, code, pool()]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "LIPTRACK_WORKERS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(tmp_path / "runs")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], 0, []]
 
 
 def test_sweep_rejects_unknown_axis(tmp_path, capsys):
@@ -302,18 +323,54 @@ def test_bounds_missing_inputs(tmp_path, trained_checkpoint, capsys):
     assert "--pairs-per-lambda" in capsys.readouterr().err
 
 
-def test_bounds_runtime_failure_exits_two(tmp_path, capsys):
-    # Checkpoint trained on 8-dim inputs cannot score 40-dim data; the
-    # failure surfaces as a runtime error, not a config error.
-    cfg_path, cfg = write_cfg(tmp_path, name="d8.json")
-    d = json.loads(cfg_path.read_text())
-    d["dataset"]["d"] = 8
-    cfg_path.write_text(json.dumps(d))
-    out = tmp_path / "runs"
-    assert run_main(["train", "--config", cfg_path, "--out", out]) == 0
-    ckpt = next(out.glob("run-*/checkpoint.json"))
+def test_bounds_runtime_failure_exits_two(tmp_path, trained_checkpoint, capsys):
+    # A checkpoint cut short (an interrupted copy) fails as it is read:
+    # a runtime error, not a config error.
+    text = Path(trained_checkpoint).read_text()
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(text[:len(text) // 2])
     assert run_main(["bounds", "--checkpoint", ckpt, "--data", "synthetic"]) == 2
     assert "run failed" in capsys.readouterr().err
+
+
+def train_checkpoint(tmp_path, **kw):
+    """Train the write_cfg net with ``kw`` on top; returns its checkpoint path."""
+    cfg_path, cfg = write_cfg(tmp_path, **kw)
+    out = tmp_path / "runs"
+    assert run_main(["train", "--config", cfg_path, "--out", out]) == 0
+    return out / f"run-{cfg.config_hash()}" / "checkpoint.json"
+
+
+def test_bounds_synthetic_data_takes_the_cnn_input_dim(tmp_path, capsys):
+    dataset = dict(ExperimentConfig().dataset, n_train=8, n_test=4, d=3072)
+    ckpt = train_checkpoint(tmp_path, family="cnn", width=1, seeds=[0], max_epochs=1,
+                            batch_size=8, dataset=dataset)
+    capsys.readouterr()
+    assert run_main(["bounds", "--checkpoint", ckpt, "--data", "synthetic"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["snapshot"]["arch"] == {"family": "cnn", "width": 1}
+    assert 0 < report["c_lower"] <= report["c_upper"]
+
+
+def test_bounds_data_must_match_the_checkpoint_input_dim(tmp_path, capsys, monkeypatch):
+    dataset = dict(ExperimentConfig().dataset, n_train=60, n_test=20, d=12, num_classes=10)
+    ckpt = train_checkpoint(tmp_path, seeds=[0], dataset=dataset)
+    capsys.readouterr()
+    assert run_main(["bounds", "--checkpoint", ckpt, "--data", "synthetic"]) == 0
+    assert json.loads(capsys.readouterr().out)["c_lower"] > 0
+    # A 40-d MNIST1D dir cannot score a 12-d net: a config error, named
+    # before any Jacobian is taken.
+    data = write_mnist1d_dir(tmp_path / "data")
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("bounds computed on mismatched data")
+
+    monkeypatch.setattr(cli, "build_report", no_report)
+    assert run_main(["bounds", "--checkpoint", ckpt, "--data", data]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: --data {data} has 40-d inputs" in captured.err
+    assert "the checkpoint's net takes 12-d inputs" in captured.err
 
 
 def test_bounds_stdout_identical_across_blas_thread_counts(tmp_path):
@@ -340,8 +397,8 @@ def test_bounds_stdout_identical_across_blas_thread_counts(tmp_path):
         assert outputs["1", extra] == outputs["2", extra]
 
 
-def test_mnist1d_outputs_identical_with_cold_and_warm_row_cache(tmp_path, capsys, monkeypatch):
-    data = tmp_path / "data"
+def write_mnist1d_dir(data: Path) -> Path:
+    """An MNIST1D dir (``train.csv``, ``test.csv``) of 40-d synthetic rows."""
     data.mkdir()
     header = ["label"] + [f"x{i}" for i in range(40)]
     for split in synthetic_fallback(4000, 1000, 40, 10, seed=3):
@@ -350,6 +407,11 @@ def test_mnist1d_outputs_identical_with_cold_and_warm_row_cache(tmp_path, capsys
             writer.writerow(header)
             writer.writerows([label] + [repr(v) for v in row]
                              for label, row in zip(split.labels.tolist(), split.inputs.tolist()))
+    return data
+
+
+def test_mnist1d_outputs_identical_with_cold_and_warm_row_cache(tmp_path, capsys, monkeypatch):
+    data = write_mnist1d_dir(tmp_path / "data")
     cfg_path, _ = write_cfg(tmp_path, width=8, seeds=[0], max_epochs=2, batch_size=256)
     cache = data / "__liptrack_cache__"
 

@@ -247,6 +247,48 @@ def test_run_sweep_serial_matches_workers(monkeypatch, tmp_path):
     assert {r["seed"] for r in serial_records} == {0, 1}
 
 
+def test_samples_sweep_files_identical_across_workers(monkeypatch, tmp_path):
+    # Each pool process builds its own per-size datasets; the files match
+    # the serial run's byte for byte.
+    cfg = quick_cfg(seeds=[0, 1, 2], max_epochs=2, eval_every=1)
+    files = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("LIPTRACK_WORKERS", workers)
+        out = tmp_path / f"workers{workers}"
+        run_sweep(cfg, "samples", out_dir=out)
+        run_dir = out / f"run-{cfg.config_hash()}"
+        files[workers] = [(run_dir / name).read_bytes()
+                          for name in ("records.jsonl", "summary.csv")]
+    assert files["1"] == files["2"]
+
+
+@pytest.mark.parametrize("axis, specs", [
+    ("width", [(None, None)]),
+    ("depth", [(None, None)]),
+    ("samples", [(20, None), (40, None)]),
+    ("noise", [(None, 0.0), (None, 1.0)]),
+])
+def test_run_sweep_builds_each_dataset_once(monkeypatch, axis, specs):
+    # One dataset for the width and depth axes, one per size for samples
+    # and noise; every seed's cell reuses it.
+    monkeypatch.delenv("LIPTRACK_WORKERS", raising=False)
+    built = []
+
+    def counting_build_data(cfg):
+        built.append((cfg.dataset["subsample"], cfg.dataset["label_noise"]))
+        return build_data(cfg)
+
+    monkeypatch.setattr(harness, "build_data", counting_build_data)
+    cfg = quick_cfg(seeds=[0, 1, 2], max_epochs=1, eval_every=1)
+    records, _, failures = run_sweep(cfg, axis)
+    assert failures == [] and len({(r["size"], r["seed"]) for r in records}) == 2 * 3
+    assert built == specs
+    # The shared dataset gives each cell the records of a cell built alone.
+    size = records[-1]["size"]
+    alone = run_cell(cfg, axis, size, seed=2)
+    assert [r for r in records if r["size"] == size and r["seed"] == 2] == alone
+
+
 def test_run_sweep_unknown_axis():
     with pytest.raises(ValueError, match="sweep axis"):
         run_sweep(quick_cfg(), "temperature")
@@ -283,10 +325,10 @@ def test_run_sweep_collects_failures(monkeypatch, tmp_path):
 
     real_run_cell = harness.run_cell
 
-    def failing_run_cell(c, axis, size, seed):
+    def failing_run_cell(c, axis, size, seed, data=None):
         if size == 8:
             raise DivergenceError(2)
-        return real_run_cell(c, axis, size, seed)
+        return real_run_cell(c, axis, size, seed, data)
 
     monkeypatch.delenv("LIPTRACK_WORKERS", raising=False)
     monkeypatch.setattr(harness, "run_cell", failing_run_cell)
